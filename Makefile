@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt lint lint-ipa lint-baseline test race debug fuzz-smoke obs-smoke docs bench-json load-smoke shard-diff
+.PHONY: check build vet fmt lint lint-ipa lint-baseline test bench-check race debug fuzz-smoke obs-smoke docs bench-json load-smoke shard-diff
 
-check: build vet fmt lint lint-ipa test race debug fuzz-smoke
+check: build vet fmt lint lint-ipa test bench-check race debug fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,13 @@ lint-baseline:
 test:
 	$(GO) test ./...
 
+# The benchmark (bench/, BENCHMARK.json) is a module of its own, so `go
+# build ./...` and `go test ./...` never compile it; this keeps bench/sut.go
+# building against the APIs it drives, and its own tests passing.
+bench-check:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
+
 race:
 	$(GO) test -race ./...
 
@@ -76,6 +83,7 @@ docs:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzIrlpCircle$$ -fuzztime=10s ./internal/geom/
 	$(GO) test -fuzz=FuzzIrlpCircleComplement -fuzztime=10s ./internal/geom/
+	$(GO) test -fuzz=FuzzIrlpRing -fuzztime=10s ./internal/geom/
 	$(GO) test -fuzz=FuzzTreeOps -fuzztime=10s ./internal/rtree/
 	$(GO) test -fuzz=FuzzCFG -fuzztime=10s ./internal/analysis/
 	$(GO) test -fuzz=FuzzProtoDriftExtract -fuzztime=10s ./internal/analysis/

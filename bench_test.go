@@ -339,6 +339,20 @@ func BenchmarkIrlpCircle(b *testing.B) {
 	}
 }
 
+// BenchmarkIrlpCircleComplement is the non-member region of a kNN query, the
+// hottest Ir-lp construction on knn-seq. p sits diagonally off the
+// quarantine circle, inside neither full-width strip, so the arc family and
+// its θ search do the work.
+func BenchmarkIrlpCircleComplement(b *testing.B) {
+	c := geom.Circle{Center: geom.Pt(0.5, 0.5), R: 0.2}
+	cell := geom.R(0.6, 0.6, 0.8, 0.8)
+	p := geom.Pt(0.66, 0.66)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		geom.IrlpCircleComplement(c, p, cell, geom.ExitObjective(p))
+	}
+}
+
 func BenchmarkIrlpRing(b *testing.B) {
 	rg := geom.Ring{Center: geom.Pt(0.5, 0.5), Inner: 0.1, Outer: 0.3}
 	cell := geom.R(0.3, 0.3, 0.7, 0.7)

@@ -412,11 +412,9 @@ func (m *Monitor) evalKNN(q *query.Query) {
 }
 
 // quarantineSplit positions the quarantine circle within its legal interval
-// [Δ(q, o_k), δ(q, o_{k+1})). The paper uses the midpoint (0.5); we default
-// to an asymmetric split closer to the k-th NN: the k-th is a single object
-// whose annular safe region exits cheaply in the tangential direction,
-// whereas every nearby non-result is corner-pinched against the circle, so
-// granting the outside the larger share of the gap reduces total updates.
+// [Δ(q, o_k), δ(q, o_{k+1})) as the fraction of the gap that goes to the
+// inside. It is the paper's midpoint (Section 3.3): the k-th NN and the
+// nearest non-result get equal room.
 const quarantineSplit = 0.5
 
 // quarantineRadius places the quarantine circle between the k-th NN's

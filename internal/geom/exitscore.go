@@ -29,12 +29,25 @@ func MeanExitChord(r Rect, p Point) float64 {
 	return cornerChord(rr, t) + cornerChord(l, t) + cornerChord(l, b) + cornerChord(rr, b)
 }
 
-// cornerChord is ∫₀^{π/2} min(a/cosθ, b/sinθ) dθ = a·asinh(b/a) + b·asinh(a/b).
+// cornerChord is ∫₀^{π/2} min(a/cosθ, b/sinθ) dθ = a·asinh(b/a) + b·asinh(a/b),
+// computed as a·ln((b+h)/a) + b·ln((a+h)/b) with h = √(a²+b²): one square
+// root shared by both terms instead of one inside each Asinh.
 func cornerChord(a, b float64) float64 {
 	if a <= 0 || b <= 0 {
 		return 0
 	}
-	return a*math.Asinh(b/a) + b*math.Asinh(a/b)
+	h := math.Sqrt(a*a + b*b)
+	return asinhTerm(b, a, h) + asinhTerm(a, b, h)
+}
+
+// asinhTerm is y·asinh(x/y) = y·ln((x+h)/y) given h = √(x²+y²). For x < y/4
+// the log argument is near 1, so it is rewritten as 1 + (x + x²/(h+y))/y
+// (h − y = x²/(h+y)) and taken with Log1p, which has no cancellation.
+func asinhTerm(x, y, h float64) float64 {
+	if x < y/4 {
+		return y * math.Log1p((x+x*x/(h+y))/y)
+	}
+	return y * math.Log((x+h)/y)
 }
 
 // ExitObjective returns the safe-region scoring function for an object at p:

@@ -124,6 +124,26 @@ func TestWeightedExitObjectiveForwardBias(t *testing.T) {
 	}
 }
 
+// The one-square-root form of cornerChord must agree with the textbook asinh
+// form across the aspect ratios a quadrant margin pair can take, including
+// the Log1p branch (b/a < 1/4 or a/b < 1/4).
+func TestCornerChordMatchesAsinhForm(t *testing.T) {
+	worst := 0.0
+	for _, a := range []float64{1e-9, 1e-2, 1, 1e6} {
+		for e := -14.0; e <= 14; e += 0.125 {
+			b := a * math.Pow(10, e)
+			want := a*math.Asinh(b/a) + b*math.Asinh(a/b)
+			got := cornerChord(a, b)
+			rel := math.Abs(got-want) / want
+			worst = math.Max(worst, rel)
+			if rel > 1e-14 {
+				t.Errorf("cornerChord(%g, %g) = %.17g, asinh form %.17g (rel err %.3g)", a, b, got, want, rel)
+			}
+		}
+	}
+	t.Logf("worst relative error %.3g", worst)
+}
+
 func TestCornerChordLimits(t *testing.T) {
 	if cornerChord(0, 1) != 0 || cornerChord(1, 0) != 0 || cornerChord(0, 0) != 0 {
 		t.Fatal("degenerate corner terms must vanish")

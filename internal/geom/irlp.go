@@ -76,43 +76,75 @@ func (rf reflection) rect(r Rect) Rect {
 	return R(a.X, a.Y, b.X, b.Y)
 }
 
+// thetaTol is the bracket width, in radians, at which the θ search stops:
+// √ε = 2⁻²⁶. Near a smooth interior maximum the objective moves by O(Δθ²),
+// so two probes closer than √ε differ by about ε of the score and comparing
+// them is rounding noise; narrower brackets only burn evaluations.
+const thetaTol = 1.0 / (1 << 26)
+
+// invPhi is 1/φ, the factor by which each golden-section step shrinks the
+// bracket.
+const invPhi = 0.6180339887498949
+
+// goldenSection returns the best interior θ of [lo, hi] for obj over the
+// reflected family mk, with its score. It is the paper's shrinking search
+// (Section 6.2) in golden-section form: each step keeps the better of the
+// two interior probes and evaluates one new point on its far side. The kept
+// probe is therefore the best of all probes so far, and it is the answer
+// once the bracket is at most thetaTol wide: no extra evaluation at the end,
+// and never worse than any θ it scored, should obj have several peaks. A
+// bracket of width π/2 takes at most 41 evaluations.
+func goldenSection(lo, hi float64, mk func(float64) Rect, obj Objective, rf reflection) (float64, float64) {
+	a, b := lo, hi
+	if b-a <= thetaTol {
+		mid := (a + b) / 2
+		return mid, obj(rf.rect(mk(mid)))
+	}
+	x1, x2 := b-invPhi*(b-a), a+invPhi*(b-a)
+	f1, f2 := obj(rf.rect(mk(x1))), obj(rf.rect(mk(x2)))
+	for b-a > thetaTol {
+		if f1 < f2 {
+			a, x1, f1 = x1, x2, f2
+			x2 = a + invPhi*(b-a)
+			f2 = obj(rf.rect(mk(x2)))
+		} else {
+			b, x2, f2 = x2, x1, f1
+			x1 = b - invPhi*(b-a)
+			f1 = obj(rf.rect(mk(x1)))
+		}
+	}
+	if f1 < f2 {
+		return x2, f2
+	}
+	return x1, f1
+}
+
 // optimizeTheta maximizes obj over the unimodal single-parameter rectangle
-// family mk on [lo, hi]. It evaluates the interval endpoints, any analytic
-// optima (clamped into the interval), and refines with the paper's
-// three-point shrinking search (Section 6.2) for objectives without a closed
-// form. Returns the best rectangle and its score; ok=false when lo > hi.
-func optimizeTheta(lo, hi float64, mk func(float64) Rect, obj Objective, analytic ...float64) (Rect, float64, bool) {
+// family mk on [lo, hi]. mk builds rectangles in the canonical frame of rf
+// and obj scores them mapped back, as rf.rect(mk(θ)). The candidates are the
+// interval endpoints, the analytic optimum when it lies inside the interval,
+// and the search's answer: at most 44 evaluations. Returns the best
+// canonical rectangle; ok=false when lo > hi.
+func optimizeTheta(lo, hi float64, mk func(float64) Rect, obj Objective, rf reflection, analytic float64) (Rect, bool) {
 	if lo > hi {
-		return Rect{}, 0, false
+		return Rect{}, false
 	}
 	best := mk(lo)
-	bestScore := obj(best)
+	bestScore := obj(rf.rect(best))
 	try := func(theta float64) {
 		r := mk(theta)
-		if s := obj(r); s > bestScore {
+		if s := obj(rf.rect(r)); s > bestScore {
 			best, bestScore = r, s
 		}
 	}
 	try(hi)
-	for _, a := range analytic {
-		if a > lo && a < hi {
-			try(a)
-		}
+	if analytic > lo && analytic < hi {
+		try(analytic)
 	}
-	// Golden-section style refinement; 48 iterations are far below any
-	// practically observable tolerance for coordinates in the unit square.
-	a, b := lo, hi
-	for i := 0; i < 48 && b-a > 1e-12; i++ {
-		m1 := a + (b-a)/3
-		m2 := b - (b-a)/3
-		if obj(mk(m1)) < obj(mk(m2)) {
-			a = m1
-		} else {
-			b = m2
-		}
+	if theta, s := goldenSection(lo, hi, mk, obj, rf); s > bestScore {
+		best = mk(theta)
 	}
-	try((a + b) / 2)
-	return best, bestScore, true
+	return best, true
 }
 
 // IrlpCircle returns the inscribed rectangle of the disk c with the largest
@@ -138,7 +170,7 @@ func IrlpCircle(c Circle, p Point, cell Rect, obj Objective) Rect {
 		hh := c.R * math.Cos(theta)
 		return Rect{q.X - hw, q.Y - hh, q.X + hw, q.Y + hh}
 	}
-	best, _, ok := optimizeTheta(thetaLo, thetaHi, mk, objReflected(obj, rf), math.Pi/4)
+	best, ok := optimizeTheta(thetaLo, thetaHi, mk, obj, rf, math.Pi/4)
 	if !ok {
 		return RectAround(p).Intersect(cell)
 	}
@@ -169,13 +201,12 @@ func IrlpCircleComplement(c Circle, p Point, cell Rect, obj Objective) Rect {
 	t := Point{ce.MaxX, ce.MaxY} // Lemma 5.3: cell corner of p's quadrant
 
 	best := RectAround(cp)
-	robj := objReflected(obj, rf)
-	bestScore := robj(best)
+	bestScore := obj(rf.rect(best))
 	consider := func(r Rect) {
 		if !r.IsValid() || !r.Contains(cp) {
 			return
 		}
-		if s := robj(r); s > bestScore {
+		if s := obj(rf.rect(r)); s > bestScore {
 			best, bestScore = r, s
 		}
 	}
@@ -195,7 +226,7 @@ func IrlpCircleComplement(c Circle, p Point, cell Rect, obj Objective) Rect {
 			x := Point{q.X + c.R*math.Sin(theta), q.Y + c.R*math.Cos(theta)}
 			return R(x.X, x.Y, t.X, t.Y)
 		}
-		if r, _, ok := optimizeTheta(thetaY, thetaX, mk, robj, math.Pi/4); ok && r.Contains(cp) {
+		if r, ok := optimizeTheta(thetaY, thetaX, mk, obj, rf, math.Pi/4); ok && r.Contains(cp) {
 			consider(r)
 		}
 	}
@@ -230,13 +261,12 @@ func IrlpRing(rg Ring, p Point, cell Rect, obj Objective) Rect {
 	rr, RR := rg.Inner, rg.Outer
 
 	best := RectAround(cp)
-	robj := objReflected(obj, rf)
-	bestScore := robj(best)
+	bestScore := obj(rf.rect(best))
 	consider := func(r Rect) {
 		if !r.IsValid() || !r.Contains(cp) {
 			return
 		}
-		if s := robj(r); s > bestScore {
+		if s := obj(rf.rect(r)); s > bestScore {
 			best, bestScore = r, s
 		}
 	}
@@ -251,7 +281,7 @@ func IrlpRing(rg Ring, p Point, cell Rect, obj Objective) Rect {
 			top := RR * math.Cos(theta)
 			return Rect{q.X - hw, q.Y + rr, q.X + hw, q.Y + top}
 		}
-		if r, _, ok := optimizeTheta(thetaLo, thetaHi, mk, robj, math.Atan(2)); ok {
+		if r, ok := optimizeTheta(thetaLo, thetaHi, mk, obj, rf, math.Atan(2)); ok {
 			consider(r)
 		}
 	}
@@ -262,7 +292,7 @@ func IrlpRing(rg Ring, p Point, cell Rect, obj Objective) Rect {
 			right := RR * math.Sin(theta)
 			return Rect{q.X + rr, q.Y - hh, q.X + right, q.Y + hh}
 		}
-		if r, _, ok := optimizeTheta(thetaLo, thetaHi, mk, robj, math.Atan(0.5)); ok {
+		if r, ok := optimizeTheta(thetaLo, thetaHi, mk, obj, rf, math.Atan(0.5)); ok {
 			consider(r)
 		}
 	}
@@ -308,14 +338,6 @@ func IrlpRectComplement(q Rect, p Point, cell Rect, obj Objective) Rect {
 		}
 	}
 	return best
-}
-
-func objReflected(obj Objective, rf reflection) Objective {
-	//lint:allow floatcmp sx/sy are exact ±1 reflection sentinels, never computed
-	if rf.sx == 1 && rf.sy == 1 {
-		return obj
-	}
-	return func(r Rect) float64 { return obj(rf.rect(r)) }
 }
 
 // ensureContains guards against floating-point rounding expelling p from the

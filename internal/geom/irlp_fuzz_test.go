@@ -112,3 +112,46 @@ func FuzzIrlpCircleComplement(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIrlpRing checks the Proposition 5.5 construction for order-sensitive
+// kNN members: the result must contain p, stay inside the cell, and stay
+// within the annulus — no farther than Outer and no nearer than Inner.
+func FuzzIrlpRing(f *testing.F) {
+	f.Add(0.5, 0.5, 0.2, 0.6, 0.5, 0.8)
+	f.Add(0.4, 0.6, 0.5, 0.1, 0.62, 0.62)  // beside the inner disk: layout V
+	f.Add(0.5, 0.5, 0.5, 0.58, 0.65, 0.65) // diagonal gap: radial box only
+	f.Fuzz(func(t *testing.T, cx, cy, ci, co, px, py float64) {
+		vals := [6]*float64{&cx, &cy, &ci, &co, &px, &py}
+		for _, v := range vals {
+			s, ok := sanitize(*v)
+			if !ok {
+				t.Skip()
+			}
+			*v = s
+		}
+		cell := R(0, 0, 1, 1)
+		inner := 0.4 * ci
+		rg := Ring{Center: Pt(cx, cy), Inner: inner, Outer: inner + 0.01 + 0.5*co}
+		p := Pt(px, py)
+		if !rg.Contains(p) {
+			t.Skip() // the ring construction is specified for points in the annulus
+		}
+
+		got := IrlpRing(rg, p, cell, Perimeter)
+		if !got.IsValid() {
+			t.Fatalf("IrlpRing(%v, %v) returned invalid rect %v", rg, p, got)
+		}
+		if !got.Contains(p) {
+			t.Fatalf("IrlpRing(%v, %v) = %v does not contain p", rg, p, got)
+		}
+		if !cell.ContainsRect(got) {
+			t.Fatalf("IrlpRing(%v, %v) = %v escapes the cell", rg, p, got)
+		}
+		if d := got.MaxDist(rg.Center); d > rg.Outer+1e-9 {
+			t.Fatalf("IrlpRing(%v, %v) = %v leaves the outer disk: max dist %g > %g", rg, p, got, d, rg.Outer)
+		}
+		if d := got.MinDist(rg.Center); d < rg.Inner-1e-9 {
+			t.Fatalf("IrlpRing(%v, %v) = %v intrudes into the inner disk: min dist %g < %g", rg, p, got, d, rg.Inner)
+		}
+	})
+}
