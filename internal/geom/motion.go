@@ -12,14 +12,14 @@ func SegmentRectExit(r Rect, p Point, v Point) (float64, bool) {
 	}
 	t := math.Inf(1)
 	if v.X > 0 {
-		t = math.Min(t, (r.MaxX-p.X)/v.X)
+		t = min(t, (r.MaxX-p.X)/v.X)
 	} else if v.X < 0 {
-		t = math.Min(t, (r.MinX-p.X)/v.X)
+		t = min(t, (r.MinX-p.X)/v.X)
 	}
 	if v.Y > 0 {
-		t = math.Min(t, (r.MaxY-p.Y)/v.Y)
+		t = min(t, (r.MaxY-p.Y)/v.Y)
 	} else if v.Y < 0 {
-		t = math.Min(t, (r.MinY-p.Y)/v.Y)
+		t = min(t, (r.MinY-p.Y)/v.Y)
 	}
 	if math.IsInf(t, 1) {
 		return 0, false
@@ -59,8 +59,8 @@ func SegmentRectEnter(r Rect, p Point, v Point) (float64, bool) {
 		if t1 > t2 {
 			t1, t2 = t2, t1
 		}
-		tEnter = math.Max(tEnter, t1)
-		tLeave = math.Min(tLeave, t2)
+		tEnter = max(tEnter, t1)
+		tLeave = min(tLeave, t2)
 	}
 	if tEnter > tLeave || tLeave < 0 {
 		return 0, false

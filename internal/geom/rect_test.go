@@ -72,6 +72,57 @@ func TestRectIntersect(t *testing.T) {
 	}
 }
 
+// TestRectIntersectUnionMatchMathMinMax checks Intersect and Union, which use
+// the builtin min/max, bit for bit against math.Min/math.Max on every pair of
+// special and ordinary values in every field. With no NaN argument the bits
+// agree, ±0 and ±Inf included. With a NaN argument the builtins return NaN,
+// where math.Max(+Inf, NaN) and math.Min(-Inf, NaN) return the infinity.
+func TestRectIntersectUnionMatchMathMinMax(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, -2.75,
+		math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1030,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	fields := func(r Rect) [4]float64 { return [4]float64{r.MinX, r.MinY, r.MaxX, r.MaxY} }
+	ops := []struct {
+		name string
+		got  func(r, s Rect) Rect
+		lo   func(a, b float64) float64 // math reference for the Min fields
+		hi   func(a, b float64) float64 // math reference for the Max fields
+	}{
+		{"Intersect", Rect.Intersect, math.Max, math.Min},
+		{"Union", Rect.Union, math.Min, math.Max},
+	}
+	for _, op := range ops {
+		for f := 0; f < 4; f++ {
+			for _, a := range vals {
+				for _, b := range vals {
+					r := [4]float64{0.25, 0.125, 0.75, 0.875}
+					s := [4]float64{0.5, -0.375, 0.625, 1.5}
+					r[f], s[f] = a, b
+					got := fields(op.got(Rect{r[0], r[1], r[2], r[3]}, Rect{s[0], s[1], s[2], s[3]}))
+					for k := 0; k < 4; k++ {
+						ref := op.lo
+						if k >= 2 {
+							ref = op.hi
+						}
+						want := ref(r[k], s[k])
+						if math.IsNaN(r[k]) || math.IsNaN(s[k]) {
+							if !math.IsNaN(got[k]) || !(math.IsNaN(want) || math.IsInf(want, 0)) {
+								t.Errorf("%s field %d (%v, %v) = %v, math gives %v", op.name, k, r[k], s[k], got[k], want)
+							}
+						} else if math.Float64bits(got[k]) != math.Float64bits(want) {
+							t.Errorf("%s field %d (%v, %v) = %v (%#x), math gives %v (%#x)",
+								op.name, k, r[k], s[k], got[k], math.Float64bits(got[k]), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRectMinMaxDistPoint(t *testing.T) {
 	r := Rect{1, 1, 3, 2}
 	cases := []struct {

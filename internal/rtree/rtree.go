@@ -77,6 +77,11 @@ type Tree struct {
 	min    int
 	leafOf map[uint64]*Node
 
+	// reinserted has bit l set once level l has been force-reinserted during
+	// the current top-level insertion (R* OverflowTreatment runs at most once
+	// per level per insertion). Insert and condense reset it.
+	reinserted uint64
+
 	// Stats counters, useful for the CPU-cost experiments and ablations.
 	splits      int
 	reinserts   int
@@ -130,7 +135,8 @@ func (t *Tree) Insert(id uint64, r geom.Rect) {
 		t.Update(id, r)
 		return
 	}
-	t.insertEntry(entry{rect: r, item: Item{ID: id, Rect: r}}, 0, make(map[int]bool))
+	t.reinserted = 0
+	t.insertEntry(entry{rect: r, item: Item{ID: id, Rect: r}}, 0)
 	t.size++
 }
 
@@ -253,7 +259,7 @@ func (n *Node) entryOf(child *Node) *entry {
 
 // --- insertion --------------------------------------------------------------
 
-func (t *Tree) insertEntry(e entry, level int, reinserted map[int]bool) {
+func (t *Tree) insertEntry(e entry, level int) {
 	n := t.chooseSubtree(e.rect, level)
 	n.entries = append(n.entries, e)
 	if e.child != nil {
@@ -263,7 +269,7 @@ func (t *Tree) insertEntry(e entry, level int, reinserted map[int]bool) {
 	}
 	t.adjustUpward(n)
 	if len(n.entries) > t.max {
-		t.overflow(n, reinserted)
+		t.overflow(n)
 	}
 }
 
@@ -288,21 +294,22 @@ func (t *Tree) pickChild(n *Node, r geom.Rect) int {
 	for i := range n.entries {
 		e := &n.entries[i]
 		u := e.rect.Union(r)
-		enlarge := u.Area() - e.rect.Area()
 		area := e.rect.Area()
+		enlarge := u.Area() - area
 		overlap := 0.0
 		if pointsToLeaves {
 			for j := range n.entries {
-				if j == i {
+				o := &n.entries[j].rect
+				// e.rect ⊆ u, so an entry disjoint from u meets neither and
+				// both terms below would be skipped anyway.
+				if j == i || !u.Intersects(*o) {
 					continue
 				}
-				ov := u.Intersect(n.entries[j].rect)
-				if ov.IsValid() {
-					overlap += ov.Area()
+				if a, ok := overlapArea(&u, o); ok {
+					overlap += a
 				}
-				pre := e.rect.Intersect(n.entries[j].rect)
-				if pre.IsValid() {
-					overlap -= pre.Area()
+				if a, ok := overlapArea(&e.rect, o); ok {
+					overlap -= a
 				}
 			}
 		}
@@ -317,6 +324,15 @@ func (t *Tree) pickChild(n *Node, r geom.Rect) int {
 	return best
 }
 
+// overlapArea returns the area of a ∩ b and whether the intersection is
+// non-empty: a.Intersect(b).Area() and IsValid, bit for bit, without
+// building the intermediate Rect.
+func overlapArea(a, b *geom.Rect) (float64, bool) {
+	minX, maxX := max(a.MinX, b.MinX), min(a.MaxX, b.MaxX)
+	minY, maxY := max(a.MinY, b.MinY), min(a.MaxY, b.MaxY)
+	return (maxX - minX) * (maxY - minY), minX <= maxX && minY <= maxY
+}
+
 func (t *Tree) adjustUpward(n *Node) {
 	for p := n.parent; p != nil; p = p.parent {
 		e := p.entryOf(n)
@@ -325,18 +341,19 @@ func (t *Tree) adjustUpward(n *Node) {
 	}
 }
 
-func (t *Tree) overflow(n *Node, reinserted map[int]bool) {
-	if n != t.root && !reinserted[n.level] {
-		reinserted[n.level] = true
-		t.forcedReinsert(n, reinserted)
+func (t *Tree) overflow(n *Node) {
+	// A level past the mask's 64 bits (unreachable in practice) just splits.
+	if bit := uint64(1) << n.level; n != t.root && bit != 0 && t.reinserted&bit == 0 {
+		t.reinserted |= bit
+		t.forcedReinsert(n)
 		return
 	}
-	t.split(n, reinserted)
+	t.split(n)
 }
 
 // forcedReinsert removes the 30 % of entries farthest from the node center
 // and reinserts them (R* OverflowTreatment).
-func (t *Tree) forcedReinsert(n *Node, reinserted map[int]bool) {
+func (t *Tree) forcedReinsert(n *Node) {
 	t.reinserts++
 	c := n.mbr().Center()
 	sort.Slice(n.entries, func(i, j int) bool {
@@ -352,14 +369,14 @@ func (t *Tree) forcedReinsert(n *Node, reinserted map[int]bool) {
 	n.entries = n.entries[:cut]
 	t.adjustUpward(n)
 	for _, e := range removed {
-		t.insertEntry(e, n.level, reinserted)
+		t.insertEntry(e, n.level)
 	}
 }
 
 // split performs the R* topological split: choose the axis with minimum
 // margin sum, then the distribution with minimum overlap (ties: minimum
 // total area).
-func (t *Tree) split(n *Node, reinserted map[int]bool) {
+func (t *Tree) split(n *Node) {
 	t.splits++
 	entries := n.entries
 
@@ -427,7 +444,7 @@ func (t *Tree) split(n *Node, reinserted map[int]bool) {
 	sibling.parent = p
 	t.adjustUpward(p)
 	if len(p.entries) > t.max {
-		t.overflow(p, reinserted)
+		t.overflow(p)
 	}
 }
 
@@ -473,7 +490,8 @@ func (t *Tree) condense(n *Node) {
 		t.root = &Node{level: 0}
 	}
 	for _, it := range orphans {
-		t.insertEntry(entry{rect: it.Rect, item: it}, 0, map[int]bool{})
+		t.reinserted = 0
+		t.insertEntry(entry{rect: it.Rect, item: it}, 0)
 	}
 }
 

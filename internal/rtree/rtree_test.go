@@ -416,3 +416,48 @@ func TestBulkLoadFasterQueryQuality(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTreeInsert measures building a tree by inserting 50k points into
+// an empty one: ChooseSubtree, forced reinsertion and splits.
+func BenchmarkTreeInsert(b *testing.B) {
+	const n = 50000
+	rng := rand.New(rand.NewSource(21))
+	pts := make([]geom.Rect, n)
+	for i := range pts {
+		pts[i] = geom.RectAround(geom.Pt(rng.Float64(), rng.Float64()))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := New()
+		for id, r := range pts {
+			tr.Insert(uint64(id), r)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/insert")
+}
+
+// BenchmarkTreeUpdateSlowPath measures Update when the new rectangle leaves
+// its leaf's bounding box, so the bottom-up fast path cannot apply and the
+// item is deleted and reinserted.
+func BenchmarkTreeUpdateSlowPath(b *testing.B) {
+	const n = 50000
+	rng := rand.New(rand.NewSource(22))
+	tr := New()
+	for i := 0; i < n; i++ {
+		tr.Insert(uint64(i), randRect(rng, 0.002))
+	}
+	moves := make([]geom.Rect, 4096)
+	for i := range moves {
+		moves[i] = randRect(rng, 0.002)
+	}
+	_, _, fast0, slow0 := tr.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Update(uint64(rng.Intn(n)), moves[i%len(moves)])
+	}
+	b.StopTimer()
+	_, _, fast, slow := tr.Stats()
+	b.ReportMetric(float64(slow-slow0)/float64(fast-fast0+slow-slow0), "slow_share")
+}
