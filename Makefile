@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt lint lint-ipa lint-baseline test bench-check race debug fuzz-smoke obs-smoke docs bench-json load-smoke shard-diff
+.PHONY: check build vet fmt lint lint-ipa lint-baseline test bench-check race debug fuzz-smoke obs-smoke docs bench-json load-smoke
 
 check: build vet fmt lint lint-ipa test bench-check race debug fuzz-smoke
 
@@ -89,24 +89,23 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzProtoDriftExtract -fuzztime=10s ./internal/analysis/
 
 # Machine-readable update-path benchmark snapshot plus regression gate: the
-# sequential, batch (nil-sink and fully instrumented), and 4-shard update
-# benchmarks with -benchmem, parsed into BENCH_PR10.json and compared against
-# the committed BENCH_PR9.json baseline. The gate fails on a >15% ns/op or
+# sequential and batch update benchmarks (nil-sink and fully instrumented)
+# with -benchmem, parsed into BENCH_PR10.json and compared against the
+# committed BENCH_PR9.json baseline. The gate fails on a >15% ns/op or
 # allocs/op regression in either nil-sink update benchmark; the Instrumented
-# variants (observability-overhead accounting in EXPERIMENTS.md) and
-# UpdateSharded (sharding-overhead tracking, new this cycle) are recorded but
-# not gated. Benchmark wall time is machine-dependent; the committed baseline
-# is refreshed alongside any intentional update-path change.
+# variants (observability-overhead accounting in EXPERIMENTS.md) are recorded
+# but not gated. Benchmark wall time is machine-dependent; the committed
+# baseline is refreshed alongside any intentional update-path change.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkUpdateSequential(Instrumented)?$$|BenchmarkUpdateBatch(Instrumented)?$$|BenchmarkUpdateSharded$$' -benchmem . | \
+	$(GO) test -run '^$$' -bench 'BenchmarkUpdateSequential(Instrumented)?$$|BenchmarkUpdateBatch(Instrumented)?$$' -benchmem . | \
 		$(GO) run ./cmd/srb-benchjson -out BENCH_PR10.json \
 		-baseline BENCH_PR9.json -gate UpdateSequential,UpdateBatch -max-regress 0.15
 
 # Capacity smoke: build the real server and the open-loop load harness, ramp
-# a small session fleet against a 4-shard server, SIGKILL it mid-run for the
-# RTO drill (recovery replays into the sharded index), and validate the
-# emitted LOAD_PR10.json (schema srb-load/v2, non-zero latency
-# quantiles, monotone ramp, finite recovery timeline, and a worst-tail ack
+# a small session fleet against a spawned server, SIGKILL it mid-run for the
+# RTO drill (recovery replays the journal), and validate the emitted
+# LOAD_PR10.json (schema srb-load/v2, non-zero latency quantiles, monotone
+# ramp, finite recovery timeline, and a worst-tail ack
 # whose causal trace ID resolves to a complete update→grant chain in the
 # server's flight recorder). The SLO is generous because CI boxes are slow
 # and shared; production capacity runs use `bin/srb-load -slo 50ms
@@ -116,15 +115,5 @@ load-smoke:
 	$(GO) build -o bin/srb-server ./cmd/srb-server
 	$(GO) build -o bin/srb-load ./cmd/srb-load
 	./bin/srb-load -server-bin bin/srb-server -sessions 16 -stages 1,2 \
-		-stage-dur 3s -slo 500ms -rto -rto-timeout 30s -seed 1 -shards 4 \
+		-stage-dur 3s -slo 500ms -rto -rto-timeout 30s -seed 1 \
 		-out LOAD_PR10.json
-
-# Sharding differential gate: the sharded monitor must be bit-identical to
-# the single-tree monitor — result streams, safe regions, stats, snapshot
-# bytes — at 1/2/4/8 shards under several GOMAXPROCS values, across a
-# crash-recovery cycle that also rotates the shard count, and under journal
-# replay. Runs under -race: the differential doubles as a schedule-dependence
-# detector for the forest's channel protocol.
-shard-diff:
-	$(GO) test -race -run 'TestShardedDifferential|TestShardedJournalRecovery|TestShardedServerEndToEnd|TestSRBShardedStaysBitIdentical' \
-		./internal/shard/ ./internal/remote/ ./internal/sim/

@@ -457,18 +457,10 @@ func BenchmarkBulkLoadVsInsert(b *testing.B) {
 
 // --- Batch update pipeline ------------------------------------------------------
 
-// benchMonitor is the monitor surface the update benchmarks populate; both
-// srb.Monitor and srb.ShardedMonitor satisfy it.
-type benchMonitor interface {
-	AddObject(id uint64, p srb.Point) []srb.SafeRegionUpdate
-	RegisterRange(id srb.QueryID, r srb.Rect) ([]uint64, []srb.SafeRegionUpdate, error)
-	RegisterKNN(id srb.QueryID, p srb.Point, k int, ordered bool) ([]uint64, []srb.SafeRegionUpdate, error)
-}
-
 // populateBenchWorld fills a monitor with n walkers and a mixed query load.
 // The seeds are fixed so every benchmark variant processes the identical
 // update stream.
-func populateBenchWorld(b *testing.B, n int, positions map[uint64]srb.Point, mon benchMonitor) []*mobility.Waypoint {
+func populateBenchWorld(b *testing.B, n int, positions map[uint64]srb.Point, mon *srb.Monitor) []*mobility.Waypoint {
 	b.Helper()
 	rng := rand.New(rand.NewSource(8))
 	for i := uint64(0); i < uint64(n); i++ {
@@ -540,35 +532,6 @@ func BenchmarkUpdateSequential(b *testing.B) {
 			mon.Update(u.ID, u.Loc)
 		}
 	}
-}
-
-// BenchmarkUpdateSharded drives BenchmarkUpdateSequential's identical update
-// stream against a 4-shard monitor: the delta against the sequential baseline
-// is the routing, migration, and channel-rendezvous cost of the sharded
-// object index on the hottest path. It is excluded from the ±15% perf gate —
-// it tracks the sharding overhead rather than bounding it.
-func BenchmarkUpdateSharded(b *testing.B) {
-	positions := map[uint64]srb.Point{}
-	mon, err := srb.NewShardedMonitor(srb.Options{GridM: 20}, 4, srb.ProberFunc(func(id uint64) srb.Point {
-		return positions[id]
-	}), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mon.Close()
-	walkers := populateBenchWorld(b, updateBatchObjects, positions, mon)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, batch := updateBenchTick(i, positions, walkers)
-		sort.Slice(batch, func(a, c int) bool { return batch[a].ID < batch[c].ID })
-		mon.SetTime(t)
-		for _, u := range batch {
-			mon.Update(u.ID, u.Loc)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(mon.Forest().Migrations())/float64(b.N), "migrations/tick")
 }
 
 // BenchmarkUpdateBatch drives the same stream through the parallel pipeline

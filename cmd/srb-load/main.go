@@ -53,7 +53,6 @@ func main() {
 		rtoTimeout  = flag.Duration("rto-timeout", 30*time.Second, "recovery drill budget")
 		seed        = flag.Int64("seed", 1, "workload seed: same seed, same offered workload")
 		workers     = flag.Int("workers", 2, "spawned server's batch pipeline workers")
-		shards      = flag.Int("shards", 1, "spawned server's object-index shard count")
 		lease       = flag.Duration("lease", 30*time.Second, "spawned server's session lease")
 		out         = flag.String("out", "LOAD.json", "capacity report output path")
 	)
@@ -64,7 +63,7 @@ func main() {
 		speed: *speed, period: *period, timescale: *timescale,
 		nRange: *nRange, nCircle: *nCircle, nKNN: *nKNN, nCount: *nCount,
 		slo: *slo, rto: *rto, rtoTimeout: *rtoTimeout, seed: *seed,
-		workers: *workers, shards: *shards, lease: *lease, out: *out,
+		workers: *workers, lease: *lease, out: *out,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "srb-load: FAIL: %v\n", err)
 		os.Exit(1)
@@ -75,8 +74,7 @@ func main() {
 type loadArgs struct {
 	addr, serverBin, stages, out       string
 	sessions, nRange, nCircle, nKNN    int
-	nCount                             int
-	workers, shards                    int
+	nCount, workers                    int
 	stageDur, tick, reportEvery        time.Duration
 	probeEvery, slo, rtoTimeout, lease time.Duration
 	speed, period, timescale           float64
@@ -119,7 +117,7 @@ func run(a loadArgs) error {
 	}
 
 	if a.serverBin != "" {
-		ctl, err := spawnServer(a.serverBin, a.workers, a.shards, a.lease)
+		ctl, err := spawnServer(a.serverBin, a.workers, a.lease)
 		if err != nil {
 			return err
 		}
@@ -180,14 +178,13 @@ type procControl struct {
 	adminURL   string
 	persistDir string
 	workers    int
-	shards     int
 	lease      time.Duration
 	cmd        *exec.Cmd
 }
 
 // spawnServer starts the server under test with persistence, leases and the
 // admin endpoint on, and waits for the admin surface to come up.
-func spawnServer(bin string, workers, shards int, lease time.Duration) (*procControl, error) {
+func spawnServer(bin string, workers int, lease time.Duration) (*procControl, error) {
 	srvPort, err := freePort()
 	if err != nil {
 		return nil, err
@@ -206,7 +203,6 @@ func spawnServer(bin string, workers, shards int, lease time.Duration) (*procCon
 		adminAddr:  "127.0.0.1:" + strconv.Itoa(adminPort),
 		persistDir: dir,
 		workers:    workers,
-		shards:     shards,
 		lease:      lease,
 	}
 	ctl.adminURL = "http://" + ctl.adminAddr
@@ -226,7 +222,7 @@ func spawnServer(bin string, workers, shards int, lease time.Duration) (*procCon
 func (c *procControl) start(extra ...string) error {
 	args := append([]string{
 		"-addr", c.addr, "-admin", c.adminAddr,
-		"-workers", strconv.Itoa(c.workers), "-shards", strconv.Itoa(c.shards),
+		"-workers", strconv.Itoa(c.workers),
 		"-lease", c.lease.String(),
 		"-persist", c.persistDir,
 	}, extra...)

@@ -31,7 +31,6 @@ func main() {
 		steadiness  = flag.Float64("steadiness", 0, "steady-movement parameter D in [0,1] (§6.2)")
 		neighbor    = flag.Int("cellneighborhood", 0, "adaptive safe-region cell radius (§7.4 extension)")
 		workers     = flag.Int("workers", 0, "batch update pipeline worker count; 0 disables batching")
-		shards      = flag.Int("shards", 1, "object-index shard count; >1 partitions the R*-tree across goroutine-confined stripes (see ARCHITECTURE.md)")
 		admin       = flag.String("admin", "", "optional HTTP admin address (/stats, /snapshot, /svg, /metrics, /trace, /queries, /debug/flightrec, /debug/pprof)")
 		obsOn       = flag.Bool("obs", true, "attach metrics and tracing when -admin is set")
 		traceBuf    = flag.Int("tracebuf", obs.DefaultTraceDepth, "decision-trace ring size (events retained for /trace)")
@@ -57,11 +56,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatalf("listen: %v", err)
-	}
-	// Shard the object index before any state exists (recovery replays into
-	// the sharded index, so per-shard recovery comes free).
-	if err := s.SetShards(*shards); err != nil {
-		log.Fatalf("-shards: %v", err)
 	}
 	if *admin != "" && *obsOn {
 		reg := obs.NewRegistry()
@@ -120,8 +114,8 @@ func main() {
 		}
 		fmt.Printf("persisting to %s (snapshot every %s)\n", *persistDir, *snapEvery)
 	}
-	fmt.Printf("srb-server listening on %s (M=%d, maxspeed=%g, D=%g, workers=%d, shards=%d, lease=%s)\n",
-		s.Addr(), *gridM, *maxSpeed, *steadiness, *workers, s.NumShards(), *lease)
+	fmt.Printf("srb-server listening on %s (M=%d, maxspeed=%g, D=%g, workers=%d, lease=%s)\n",
+		s.Addr(), *gridM, *maxSpeed, *steadiness, *workers, *lease)
 	if *admin != "" {
 		go func() {
 			defer func() {

@@ -34,7 +34,6 @@ func main() {
 		duration = flag.Float64("duration", 0, "override the simulated horizon")
 		seed     = flag.Int64("seed", 0, "override the workload seed")
 		workers  = flag.Int("workers", 0, "SRB batch update pipeline worker count; 0 keeps the sequential path")
-		shards   = flag.Int("shards", 1, "SRB object-index shard count; >1 partitions the R*-tree (bit-identical results)")
 		progress = flag.Float64("progress", 0, "print a progress line every this many simulated time units (SRB runs)")
 		metrics  = flag.String("metrics", "", "optional HTTP address serving /metrics and /trace for the running simulation")
 	)
@@ -65,9 +64,6 @@ func main() {
 	}
 	if *workers > 0 {
 		base.BatchWorkers = *workers
-	}
-	if *shards > 1 {
-		base.Shards = *shards
 	}
 	if *progress > 0 {
 		base.ProgressEvery = *progress

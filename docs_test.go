@@ -34,9 +34,6 @@ func wireEverything(t *testing.T, reg *obs.Registry) {
 	}
 	s.SetLogf(nil)
 	s.SetWorkers(2)
-	if err := s.SetShards(2); err != nil {
-		t.Fatalf("shards: %v", err)
-	}
 	s.SetChaos(chaos.NewInjector(chaos.Config{}, chaos.Config{}))
 	if err := s.SetPersist(t.TempDir(), 0); err != nil {
 		t.Fatalf("persist: %v", err)

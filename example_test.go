@@ -97,68 +97,6 @@ func ExampleParallelMonitor() {
 	// after batch: [1 3 4 7]
 }
 
-// A monitor whose object index is partitioned into four goroutine-confined
-// shards: stripes of grid columns each own a private R*-tree, and a router
-// migrates objects that cross stripe boundaries. Results are bit-identical
-// to the single-tree monitor.
-func ExampleShardedMonitor() {
-	positions := map[uint64]srb.Point{}
-	mon, err := srb.NewShardedMonitor(srb.Options{GridM: 10}, 4,
-		srb.ProberFunc(func(id uint64) srb.Point { return positions[id] }), nil)
-	if err != nil {
-		panic(err)
-	}
-	defer mon.Close()
-
-	// Eight objects spread across all four stripes (boundaries at x = 0.3,
-	// 0.6 and 0.8 for a 10-column grid split four ways).
-	for i := uint64(1); i <= 8; i++ {
-		positions[i] = srb.Pt(0.1*float64(i), 0.5)
-		mon.AddObject(i, positions[i])
-	}
-	results, _, _ := mon.RegisterRange(1, srb.R(0, 0, 0.45, 1))
-	fmt.Println("west:", sortedIDs(results))
-
-	// Object 2 moves from the first stripe (x < 0.3) into the second: the
-	// router migrates it to the owning shard's tree, and the query result
-	// updates exactly as a single-tree monitor would.
-	positions[2] = srb.Pt(0.55, 0.5)
-	mon.Update(2, positions[2])
-	r, _ := mon.Results(1)
-	fmt.Println("after crossing:", sortedIDs(r))
-	fmt.Println("shards:", mon.NumShards(), "migrated:", mon.Forest().Migrations() > 0)
-	// Output:
-	// west: [1 2 3 4]
-	// after crossing: [1 3 4]
-	// shards: 4 migrated: true
-}
-
-// A kNN query whose focus sits on a stripe boundary: the nearest neighbors
-// live in different shards, so the search scatters across shard trees and
-// gathers candidates through one canonical best-first frontier. The ranked
-// list is the same as a single tree's.
-func ExampleShardedMonitor_RegisterKNN() {
-	positions := map[uint64]srb.Point{
-		1: srb.Pt(0.28, 0.5), // first stripe (x < 0.3)
-		2: srb.Pt(0.33, 0.5), // second stripe
-		3: srb.Pt(0.62, 0.5), // third stripe
-	}
-	mon, err := srb.NewShardedMonitor(srb.Options{GridM: 10}, 4,
-		srb.ProberFunc(func(id uint64) srb.Point { return positions[id] }), nil)
-	if err != nil {
-		panic(err)
-	}
-	defer mon.Close()
-	for id := uint64(1); id <= 3; id++ {
-		mon.AddObject(id, positions[id])
-	}
-
-	ranked, _, _ := mon.RegisterKNN(7, srb.Pt(0.30, 0.5), 2, true)
-	fmt.Println("2-NN of the boundary point:", ranked)
-	// Output:
-	// 2-NN of the boundary point: [1 2]
-}
-
 // Order-sensitive kNN monitoring returns ranked neighbor lists and keeps them
 // exact as objects move.
 func ExampleMonitor_RegisterKNN() {

@@ -8,8 +8,8 @@ import (
 )
 
 // MapOrder flags taint from Go's randomized map iteration order into the
-// module's order-sensitive sinks — the exact property the sharded-vs-single
-// and crash-recovery bit-identity tests assume. The protected packages are
+// module's order-sensitive sinks — the exact property the tree-shape and
+// crash-recovery bit-identity tests assume. The protected packages are
 // the deterministic spine: internal/core, internal/parallel, internal/wire,
 // internal/remote and the root package.
 //

@@ -11,7 +11,7 @@ const wallclockName = "wallclock"
 // WallClock flags wall-clock and global-rand reads reachable from the
 // deterministic packages — internal/core, internal/parallel, internal/wire.
 // Those packages define the replayable state machine: the journal replay,
-// snapshot round-trip and sharded-vs-single bit-identity proofs all assume
+// snapshot round-trip and tree-shape bit-identity proofs all assume
 // their behavior is a function of the inputs alone. time.Now or a global
 // math/rand draw anywhere on their call paths silently breaks that.
 //

@@ -36,9 +36,10 @@ func (p *evalPQ) Len() int { return len(p.items) }
 // pop sequence a pure function of the indexed regions, independent of tree
 // shape: when an object pops, no node with key ≤ its key remains, so any
 // unpopped object with a smaller (key, ID) would still be covered by such a
-// node — contradiction. A sharded forest and a single tree therefore pop
+// node — contradiction. Two trees of different shape over the same regions
+// (a live tree and its LoadSnapshot or ReplayJournal rebuild) therefore pop
 // objects (and thus hold, probe, and append results) in exactly the same
-// order. See ARCHITECTURE.md "Determinism guarantees".
+// order. See DESIGN.md §14 "Determinism guarantees".
 func (p *evalPQ) Less(i, j int) bool {
 	a, b := &p.items[i], &p.items[j]
 	//lint:allow floatcmp comparator tie-break: exact inequality guards the canonical fallback
@@ -104,8 +105,8 @@ func (m *Monitor) newExpander(pq *evalPQ, qp geom.Point, exclude map[uint64]bool
 // pre-probe safe region (the index is only refreshed when the op finishes),
 // so a covering node's MinDist no longer lower-bounds their distance. Left in
 // the tree, their discovery time — and with it the canonical pop order —
-// would depend on how the index groups objects, breaking the sharded/single
-// equivalence. Seeded up front with exact keys, the remaining tree search is
+// would depend on how the index groups objects, breaking tree-shape
+// independence. Seeded up front with exact keys, the remaining tree search is
 // admissible for every object it can still discover.
 func (m *Monitor) seedSearch(pq *evalPQ, qp geom.Point, exclude map[uint64]bool) {
 	m.index.Seeds(func(shard int, root *rtree.Node) {
@@ -384,9 +385,9 @@ func (m *Monitor) evalRange(q *query.Query) []uint64 {
 
 // rangeCandidates collects the indexed items intersecting r and sorts them
 // by ascending object ID. The canonical order makes probe sequences, result
-// lists, and journal entries independent of index structure — a single tree
-// visits in R*-tree order, a sharded forest gathers shard by shard, and both
-// collapse to the same sequence here.
+// lists, and journal entries independent of index structure — two trees of
+// different shape visit in different orders, and both collapse to the same
+// sequence here.
 func (m *Monitor) rangeCandidates(r geom.Rect) []rtree.Item {
 	items := m.index.Collect(r, nil)
 	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })

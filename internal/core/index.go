@@ -1,18 +1,15 @@
 package core
 
 import (
-	"fmt"
-
 	"srb/internal/geom"
 	"srb/internal/rtree"
 )
 
-// ObjIndex is the pluggable spatial index over object safe regions. The
-// Monitor owns exactly one; by default it is a single R*-tree (localIndex),
-// and internal/shard swaps in a Forest of per-shard trees behind the same
-// contract. The interface is deliberately shaped so that every monitor
-// algorithm produces bit-identical state regardless of how the index is
-// partitioned:
+// ObjIndex is the spatial index over object safe regions. The Monitor owns
+// exactly one, a single R*-tree (localIndex). The interface is deliberately
+// shaped so that every monitor algorithm produces bit-identical state
+// regardless of the tree's shape — LoadSnapshot and ReplayJournal rebuild a
+// tree whose shape differs from the live one:
 //
 //   - Collect returns candidate sets, not candidate sequences: callers sort
 //     by object ID before visiting, so probe order and result order never
@@ -20,7 +17,7 @@ import (
 //   - Best-first kNN search sees the index as a set of (shard, root) seeds
 //     plus a Visit expansion primitive; the evalPQ comparator (evaluate.go)
 //     orders equal-key entries canonically, which makes the object pop
-//     sequence a pure function of monitor state (see ARCHITECTURE.md
+//     sequence a pure function of monitor state (see DESIGN.md §14
 //     "Determinism guarantees").
 //
 // Implementations are not required to be safe for concurrent use: the
@@ -60,8 +57,7 @@ type ObjIndex interface {
 type IndexVisitor func(child *rtree.Node, childRect geom.Rect, it rtree.Item, isItem bool)
 
 // ExpandNode yields every entry of one R*-tree node through v. It is the
-// shared expansion primitive behind ObjIndex.Visit: localIndex calls it
-// inline, a sharded index calls it inside the owning shard's worker.
+// expansion primitive behind ObjIndex.Visit.
 func ExpandNode(n *rtree.Node, v IndexVisitor) {
 	for i := 0; i < n.Count(); i++ {
 		if n.IsLeaf() {
@@ -109,20 +105,3 @@ func (x *localIndex) Visit(_ int, n *rtree.Node, yield IndexVisitor) {
 }
 
 func (x *localIndex) CheckInvariants() error { return x.t.CheckInvariants() }
-
-// SetIndex replaces the monitor's object index. It must be called before any
-// object or query is registered — the index is the authoritative spatial
-// store, and swapping it under live state would orphan every indexed region.
-// remote.Server calls this between construction and Serve/Recover when the
-// -shards flag selects a sharded index.
-func (m *Monitor) SetIndex(idx ObjIndex) error {
-	if idx == nil {
-		return fmt.Errorf("core: SetIndex: nil index")
-	}
-	if len(m.objects) != 0 || len(m.queries) != 0 {
-		return fmt.Errorf("core: SetIndex on a non-empty monitor (%d objects, %d queries)",
-			len(m.objects), len(m.queries))
-	}
-	m.index = idx
-	return nil
-}

@@ -160,46 +160,50 @@ func TestJournalReplayBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recover: last snapshot + journal suffix. The prober must never be
-	// consulted — every probe answer is in the journal.
-	recovered := New(Options{GridM: 8}, ProberFunc(func(id uint64) geom.Point {
-		t.Fatalf("recovery probed object %d live", id)
-		return geom.Point{}
-	}), nil)
-	if err := recovered.LoadSnapshot(bytes.NewReader(r.midSnap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := ReplayJournal(bytes.NewReader(r.logBuf.Bytes()), recovered, r.midSeq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Skipped == 0 || rs.Entries == 0 || rs.Torn {
-		t.Fatalf("replay stats %+v: want skipped prefix and applied suffix", rs)
-	}
-	if err := recovered.CheckInvariants(); err != nil {
-		t.Fatalf("recovered invariants: %v", err)
-	}
-	if recovered.Stats() != r.mon.Stats() {
-		t.Fatalf("Stats diverged:\nrecovered %+v\noriginal  %+v", recovered.Stats(), r.mon.Stats())
-	}
-	var got bytes.Buffer
-	if err := recovered.SaveSnapshot(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("recovered monitor state is not bit-identical to the uninterrupted run")
-	}
-	// Semantic spot check: the recovered range result matches brute force.
-	gotRes, _ := recovered.Results(1)
-	var truth []uint64
-	for id, p := range r.pos {
-		if geom.R(0.2, 0.2, 0.6, 0.6).Contains(p) {
-			truth = append(truth, id)
+	// Recover: last snapshot + journal suffix, once with the live monitor's
+	// options and once into a differently shaped tree (node capacity 4, not
+	// the default 16), since results must not depend on tree shape. The
+	// prober must never be consulted — every probe answer is in the journal.
+	for _, opt := range []Options{{GridM: 8}, {GridM: 8, TreeCapacity: 4}} {
+		recovered := New(opt, ProberFunc(func(id uint64) geom.Point {
+			t.Fatalf("recovery probed object %d live", id)
+			return geom.Point{}
+		}), nil)
+		if err := recovered.LoadSnapshot(bytes.NewReader(r.midSnap.Bytes())); err != nil {
+			t.Fatal(err)
 		}
-	}
-	sort.Slice(truth, func(i, j int) bool { return truth[i] < truth[j] })
-	if !equalSeq(sortedCopy(gotRes), truth) {
-		t.Fatalf("recovered range result %v, brute force %v", sortedCopy(gotRes), truth)
+		rs, err := ReplayJournal(bytes.NewReader(r.logBuf.Bytes()), recovered, r.midSeq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.Skipped == 0 || rs.Entries == 0 || rs.Torn {
+			t.Fatalf("%+v: replay stats %+v: want skipped prefix and applied suffix", opt, rs)
+		}
+		if err := recovered.CheckInvariants(); err != nil {
+			t.Fatalf("%+v: recovered invariants: %v", opt, err)
+		}
+		if recovered.Stats() != r.mon.Stats() {
+			t.Fatalf("%+v: Stats diverged:\nrecovered %+v\noriginal  %+v", opt, recovered.Stats(), r.mon.Stats())
+		}
+		var got bytes.Buffer
+		if err := recovered.SaveSnapshot(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%+v: recovered monitor state is not bit-identical to the uninterrupted run", opt)
+		}
+		// Semantic spot check: the recovered range result matches brute force.
+		gotRes, _ := recovered.Results(1)
+		var truth []uint64
+		for id, p := range r.pos {
+			if geom.R(0.2, 0.2, 0.6, 0.6).Contains(p) {
+				truth = append(truth, id)
+			}
+		}
+		sort.Slice(truth, func(i, j int) bool { return truth[i] < truth[j] })
+		if !equalSeq(sortedCopy(gotRes), truth) {
+			t.Fatalf("%+v: recovered range result %v, brute force %v", opt, sortedCopy(gotRes), truth)
+		}
 	}
 }
 

@@ -89,9 +89,8 @@ type Options struct {
 
 // WithDefaults returns the options as the Monitor will actually use them,
 // with zero values replaced by defaults (unit space, GridM 50, TreeCapacity
-// 16). Components that must agree with the monitor's effective geometry —
-// the shard partition function, external index implementations — normalize
-// through this before deriving anything from Space or GridM.
+// 16). Components that must agree with the monitor's effective geometry
+// normalize through this before deriving anything from Space or GridM.
 func (o Options) WithDefaults() Options { return o.withDefaults() }
 
 func (o Options) withDefaults() Options {

@@ -34,7 +34,6 @@ const (
 	FlightRegister  = "register"  // query (de)registration processed
 	FlightReconnect = "reconnect" // session resumed or rejoined
 	FlightSlowOp    = "slow_op"   // monitor operation over the slow-op threshold
-	FlightMigrate   = "migrate"   // object crossed a shard boundary (internal/shard)
 	FlightDump      = "dump"      // dump marker carrying the trigger reason
 )
 

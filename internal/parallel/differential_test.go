@@ -3,14 +3,20 @@ package parallel_test
 // Differential harness for the batch pipeline's determinism contract: a
 // sequential Monitor and a ParallelMonitor are driven with the identical
 // seeded random-waypoint workload — honest exit-driven reporting, range +
-// kNN queries with register/deregister churn, object churn — and every tick
-// asserts bit-identical safe-region streams, result-update streams, Stats
-// counters, per-query results, and per-object safe regions. The parallel
-// side receives each tick's batch in shuffled order, so the run also proves
-// the ascending-object-ID normalization. The whole suite repeats at
-// GOMAXPROCS 1, 4, and 8.
+// kNN + within-distance + COUNT queries with register/deregister churn,
+// object churn — and every tick asserts bit-identical safe-region streams,
+// result-update streams, Stats counters, per-query results, and per-object
+// safe regions. The parallel side receives each tick's batch in shuffled
+// order, so the run also proves the ascending-object-ID normalization.
+// Mid-run both sides snapshot (byte-identical) and the parallel side is
+// rebuilt from its snapshot, whose reload gives its R*-tree a new shape. The
+// tree-shape scenario also gives the parallel side a node capacity of 4
+// against the sequential side's 16, so the two trees never share a shape:
+// the run proves results independent of tree shape (DESIGN.md §14). The
+// whole suite repeats at GOMAXPROCS 1, 4, and 8.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -31,6 +37,9 @@ type diffConfig struct {
 	nQuery  int
 	ticks   int
 	dt      float64
+	// parTreeCapacity is the parallel side's R*-tree node capacity; 0 keeps
+	// the default 16 that the sequential side always uses.
+	parTreeCapacity int
 }
 
 func baseOptions() srb.Options {
@@ -56,6 +65,7 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 		{"base", diffConfig{seed: 1, opt: baseOptions(), workers: 4, nObj: 150, nQuery: 12, ticks: 30, dt: 0.4}},
 		{"enhanced", diffConfig{seed: 2, opt: enhancedOptions(), workers: 4, nObj: 120, nQuery: 10, ticks: 25, dt: 0.4}},
 		{"single-worker", diffConfig{seed: 3, opt: baseOptions(), workers: 1, nObj: 100, nQuery: 8, ticks: 20, dt: 0.4}},
+		{"tree-shape", diffConfig{seed: 4, opt: enhancedOptions(), workers: 4, nObj: 150, nQuery: 12, ticks: 30, dt: 0.4, parTreeCapacity: 4}},
 	}
 	for _, gmp := range []int{1, 4, 8} {
 		gmp := gmp
@@ -83,7 +93,12 @@ func runDifferential(t *testing.T, cfg diffConfig) {
 
 	var seqPushed, parPushed []srb.ResultUpdate
 	seq := srb.NewMonitor(cfg.opt, prober, func(u srb.ResultUpdate) { seqPushed = append(seqPushed, u) })
-	par := srb.NewParallelMonitor(cfg.opt, cfg.workers, prober, func(u srb.ResultUpdate) { parPushed = append(parPushed, u) })
+	parOpt := cfg.opt
+	parOpt.TreeCapacity = cfg.parTreeCapacity
+	newPar := func() *srb.ParallelMonitor {
+		return srb.NewParallelMonitor(parOpt, cfg.workers, prober, func(u srb.ResultUpdate) { parPushed = append(parPushed, u) })
+	}
+	par := newPar()
 
 	checkPushed := func(ctx string) {
 		t.Helper()
@@ -143,18 +158,34 @@ func runDifferential(t *testing.T, cfg diffConfig) {
 		var sres, pres []uint64
 		var sups, pups []srb.SafeRegionUpdate
 		var serr, perr error
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(4) {
+		case 0:
 			x, y := rng.Float64(), rng.Float64()
 			w, h := 0.05+rng.Float64()*0.15, 0.05+rng.Float64()*0.15
 			r := srb.R(x, y, x+w, y+h)
 			sres, sups, serr = seq.RegisterRange(qid, r)
 			pres, pups, perr = par.RegisterRange(qid, r)
-		} else {
+		case 1:
 			c := srb.Pt(rng.Float64(), rng.Float64())
 			k := 1 + rng.Intn(5)
 			ordered := rng.Intn(2) == 0
 			sres, sups, serr = seq.RegisterKNN(qid, c, k, ordered)
 			pres, pups, perr = par.RegisterKNN(qid, c, k, ordered)
+		case 2:
+			c := srb.Pt(rng.Float64(), rng.Float64())
+			rad := 0.05 + rng.Float64()*0.1
+			sres, sups, serr = seq.RegisterWithinDistance(qid, c, rad)
+			pres, pups, perr = par.RegisterWithinDistance(qid, c, rad)
+		default:
+			x, y := rng.Float64(), rng.Float64()
+			w, h := 0.05+rng.Float64()*0.2, 0.05+rng.Float64()*0.2
+			r := srb.R(x, y, x+w, y+h)
+			var sn, pn int
+			sn, sups, serr = seq.RegisterCount(qid, r)
+			pn, pups, perr = par.RegisterCount(qid, r)
+			if sn != pn {
+				t.Fatalf("%s: register count %d diverged: %d vs %d", ctx, qid, sn, pn)
+			}
 		}
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("%s: register %d error diverged: %v vs %v", ctx, qid, serr, perr)
@@ -172,7 +203,8 @@ func runDifferential(t *testing.T, cfg diffConfig) {
 	checkPushed("after registration")
 	checkState("after registration", qids)
 
-	var removed []uint64 // object-churn victims awaiting re-add
+	var removed []uint64     // object-churn victims awaiting re-add
+	var early srb.BatchStats // the first parallel monitor's counters, before the reload
 	for tick := 1; tick <= cfg.ticks; tick++ {
 		now := float64(tick) * cfg.dt
 		ctx := fmt.Sprintf("tick %d", tick)
@@ -247,17 +279,41 @@ func runDifferential(t *testing.T, cfg diffConfig) {
 			checkPushed(ctx + " (object churn)")
 			checkState(ctx+" (object churn)", qids)
 		}
+
+		// Crash-recovery cycle at half-time: both sides snapshot
+		// (byte-identical, since snapshots hold no tree structure), and the
+		// parallel side is rebuilt from its snapshot — a differently shaped
+		// tree — before the workload continues.
+		if tick == cfg.ticks/2 {
+			var sb, pb bytes.Buffer
+			if err := seq.SaveSnapshot(&sb); err != nil {
+				t.Fatalf("%s: seq snapshot: %v", ctx, err)
+			}
+			if err := par.SaveSnapshot(&pb); err != nil {
+				t.Fatalf("%s: par snapshot: %v", ctx, err)
+			}
+			if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
+				t.Fatalf("%s: snapshots differ between sequential and parallel monitor", ctx)
+			}
+			early = par.BatchStats()
+			par = newPar()
+			if err := par.LoadSnapshot(&pb); err != nil {
+				t.Fatalf("%s: par LoadSnapshot: %v", ctx, err)
+			}
+			checkState(ctx+" (after reload)", qids)
+		}
 	}
 
 	// The harness only proves something about the parallel path if the fast
 	// path actually ran; a workload where every update conflicts would pass
 	// vacuously.
 	bs := par.BatchStats()
-	if bs.Updates == 0 {
+	updates, fast := early.Updates+bs.Updates, early.Fast+bs.Fast
+	if updates == 0 {
 		t.Fatalf("workload produced no batched updates")
 	}
-	if bs.Fast == 0 {
-		t.Fatalf("no update took the fast path (stats %+v): scenario too dense to exercise the pipeline", bs)
+	if fast == 0 {
+		t.Fatalf("no update took the fast path (stats %+v then %+v): scenario too dense to exercise the pipeline", early, bs)
 	}
-	t.Logf("batch stats: %+v (fast path %.0f%%)", bs, 100*float64(bs.Fast)/float64(bs.Updates))
+	t.Logf("batch stats: %+v then %+v (fast path %.0f%%)", early, bs, 100*float64(fast)/float64(updates))
 }

@@ -34,20 +34,12 @@ import (
 func (s *Server) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		type shardStats struct {
-			N          int   `json:"n"`
-			Objects    []int `json:"objects"`    // owned objects per shard, stripe order
-			Strays     int   `json:"strays"`     // indexed off their routed stripe
-			Migrations int64 `json:"migrations"` // boundary crossings since start
-			Scatters   int64 `json:"scatters"`   // scatter-gather searches since start
-		}
 		var payload struct {
 			Objects int             `json:"objects"`
 			Queries int             `json:"queries"`
 			Clients int             `json:"clients"`
 			Stats   core.Stats      `json:"stats"`
 			Batch   *parallel.Stats `json:"batch,omitempty"`
-			Shards  *shardStats     `json:"shards,omitempty"`
 		}
 		if err := s.do(func() {
 			payload.Objects = s.mon.NumObjects()
@@ -57,15 +49,6 @@ func (s *Server) AdminHandler() http.Handler {
 			if s.pipe != nil {
 				bs := s.pipe.Stats()
 				payload.Batch = &bs
-			}
-			if s.forest != nil {
-				payload.Shards = &shardStats{
-					N:          s.forest.NumShards(),
-					Objects:    s.forest.ShardObjects(),
-					Strays:     s.forest.Strays(),
-					Migrations: s.forest.Migrations(),
-					Scatters:   s.forest.Scatters(),
-				}
 			}
 		}); err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)

@@ -33,8 +33,7 @@ type srvObs struct {
 
 // SetObs attaches an observability sink to the server and everything it
 // hosts: the core monitor, the batch pipeline (current and any created later
-// by SetWorkers), the sharded object index (current and any created later by
-// SetShards), and the server's own event-loop instruments. Must be called
+// by SetWorkers), and the server's own event-loop instruments. Must be called
 // before Serve; nil detaches.
 func (s *Server) SetObs(sink *obs.Sink) {
 	if sink == nil || (sink.Registry() == nil && sink.Tracer() == nil) {
@@ -44,18 +43,12 @@ func (s *Server) SetObs(sink *obs.Sink) {
 		if s.pipe != nil {
 			s.pipe.SetObs(nil)
 		}
-		if s.forest != nil {
-			s.forest.SetObs(nil)
-		}
 		return
 	}
 	s.sink = sink
 	s.mon.SetObs(sink)
 	if s.pipe != nil {
 		s.pipe.SetObs(sink)
-	}
-	if s.forest != nil {
-		s.forest.SetObs(sink)
 	}
 	r := sink.Registry()
 	o := &srvObs{tr: sink.Tracer()}

@@ -13,7 +13,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"srb/internal/chaos"
@@ -22,7 +21,6 @@ import (
 	"srb/internal/obs"
 	"srb/internal/parallel"
 	"srb/internal/query"
-	"srb/internal/shard"
 	"srb/internal/wire"
 )
 
@@ -46,13 +44,12 @@ const (
 // single event-loop goroutine, matching the framework's sequential
 // processing assumption.
 type Server struct {
-	opt    core.Options
-	mon    *core.Monitor
-	forest *shard.Forest      // sharded object index, nil for the single tree
-	pipe   *parallel.Pipeline // non-nil when batch updates are enabled
-	ln     net.Listener
-	reqs   chan request
-	done   chan struct{}
+	opt  core.Options
+	mon  *core.Monitor
+	pipe *parallel.Pipeline // non-nil when batch updates are enabled
+	ln   net.Listener
+	reqs chan request
+	done chan struct{}
 
 	sink *obs.Sink // attached observability, nil when off
 	obs  *srvObs
@@ -79,7 +76,6 @@ type Server struct {
 	recentRec []time.Time
 
 	closeOnce sync.Once
-	serving   atomic.Bool // Serve started; its exit path owns forest shutdown
 	wg        sync.WaitGroup
 	start     time.Time
 	timeBase  float64 // monitor clock at recovery, so time never runs backward
@@ -161,43 +157,6 @@ func (s *Server) SetLogf(f func(string, ...interface{})) {
 	s.logf = f
 }
 
-// SetShards partitions the monitor's object index across n goroutine-confined
-// shards: each owns a contiguous stripe of grid columns and a private R*-tree,
-// with the router migrating boundary-crossing objects and scatter-gathering
-// boundary-straddling searches (see internal/shard and ARCHITECTURE.md). The
-// sharded index changes no observable semantics — results, safe regions,
-// stats, journal and snapshot bytes stay bit-identical to the single tree — it
-// adds per-shard srb_shard_* metrics and "migrate" flight events. Must be
-// called before Serve, Recover, and SetPersist, while the monitor is still
-// empty. n <= 1 keeps the default single tree. Composes freely with
-// SetWorkers: the batch pipeline plans geometry, the shards store regions.
-func (s *Server) SetShards(n int) error {
-	if n <= 1 {
-		return nil
-	}
-	f := shard.NewForest(s.opt, n)
-	if err := s.mon.SetIndex(f); err != nil {
-		f.Close()
-		return err
-	}
-	s.forest = f
-	if s.sink != nil {
-		f.SetObs(s.sink)
-	}
-	if s.flight != nil {
-		f.SetFlightRecorder(s.flight)
-	}
-	return nil
-}
-
-// NumShards returns the object-index shard count (1 for the single tree).
-func (s *Server) NumShards() int {
-	if s.forest == nil {
-		return 1
-	}
-	return s.forest.NumShards()
-}
-
 // SetWorkers enables the batch update pipeline: bursts of queued location
 // updates are coalesced into one batch whose conflict-free part is planned on
 // n workers (n <= 0 keeps the pure sequential path). The batch outcome is
@@ -235,9 +194,6 @@ func (s *Server) SetChaos(inj *chaos.Injector) {
 func (s *Server) SetFlightRecorder(fr *obs.FlightRecorder) {
 	s.flight = fr
 	s.mon.SetFlightRecorder(fr)
-	if s.forest != nil {
-		s.forest.SetFlightRecorder(fr)
-	}
 }
 
 // SetSLO sets the event-loop latency objective: a request (update batch or
@@ -284,7 +240,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Serve runs the accept and event loops until Close. It always returns a
 // non-nil error (net.ErrClosed after a clean shutdown).
 func (s *Server) Serve() error {
-	s.serving.Store(true)
 	s.wg.Add(1)
 	// The event loop's only data-bounded loop is settleProbes' worklist drain
 	// (processed grows monotonically over a finite ID set), which goroleak's
@@ -296,9 +251,6 @@ func (s *Server) Serve() error {
 		if err != nil {
 			s.closeOnce.Do(func() { close(s.done) })
 			s.wg.Wait()
-			if s.forest != nil {
-				s.forest.Close() // after wg.Wait: no event-loop op can touch the index now
-			}
 			return err
 		}
 		s.wg.Add(1)
@@ -306,18 +258,12 @@ func (s *Server) Serve() error {
 	}
 }
 
-// Close stops the server and terminates all connections. When Serve is
-// running, shard workers (SetShards) are released by Serve's exit path once
-// the event loop has drained; when Serve was never started, Close releases
-// them directly.
+// Close stops the server and terminates all connections.
 func (s *Server) Close() error {
 	err := s.ln.Close()
 	s.closeOnce.Do(func() { close(s.done) })
 	if s.persist != nil && s.persist.timer != nil {
 		s.persist.timer.Stop()
-	}
-	if s.forest != nil && !s.serving.Load() {
-		s.forest.Close()
 	}
 	return err
 }

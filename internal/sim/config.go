@@ -69,12 +69,6 @@ type Config struct {
 	// one batch planned on this many workers. Results are bit-identical to the
 	// sequential path by the pipeline's determinism contract.
 	BatchWorkers int
-	// Shards, when greater than 1, partitions the SRB scheme's object index
-	// across goroutine-confined shards (internal/shard). Results are
-	// bit-identical to the single tree by the forest's determinism contract;
-	// the knob exists to exercise and measure the sharded index under
-	// simulated workloads.
-	Shards int
 	// LossRate, when positive, models a lossy wireless link (SRB scheme
 	// only): each source-initiated update and each safe-region grant is
 	// independently lost with this probability, drawn from a dedicated seeded

@@ -11,7 +11,6 @@ import (
 	"srb/internal/mobility"
 	"srb/internal/parallel"
 	"srb/internal/query"
-	"srb/internal/shard"
 )
 
 // event kinds of the SRB event-driven simulation.
@@ -81,14 +80,6 @@ func RunSRB(cfg Config) Result {
 	mon := core.New(cfg.coreOptions(), core.ProberFunc(func(id uint64) geom.Point {
 		return curs[id].At(serverNow)
 	}), nil)
-	if cfg.Shards > 1 {
-		forest := shard.NewForest(cfg.coreOptions(), cfg.Shards)
-		if err := mon.SetIndex(forest); err != nil {
-			panic("sim: sharding an empty monitor cannot fail: " + err.Error())
-		}
-		defer forest.Close()
-		forest.SetObs(cfg.Obs)
-	}
 	mon.SetObs(cfg.Obs)
 	var pipe *parallel.Pipeline
 	if cfg.BatchWorkers > 0 {

@@ -306,19 +306,3 @@ func TestSRBBatchModeStaysExact(t *testing.T) {
 		t.Fatalf("batched update count %d far from sequential %d", batch.Updates, seqr.Updates)
 	}
 }
-
-func TestSRBShardedStaysBitIdentical(t *testing.T) {
-	// Unlike batching (a different serialization of simultaneous events), the
-	// sharded object index promises the exact same serialization: every
-	// counter of the run must match the single-tree run bit for bit.
-	single := stripCPU(RunSRB(tiny()))
-	for _, n := range []int{2, 4} {
-		cfg := tiny()
-		cfg.Shards = n
-		sharded := stripCPU(RunSRB(cfg))
-		//lint:allow floatcmp the shard contract is bit-identical outcomes
-		if single != sharded {
-			t.Fatalf("%d-shard SRB diverged from single tree:\n%+v\n%+v", n, single, sharded)
-		}
-	}
-}
