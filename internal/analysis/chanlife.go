@@ -1,11 +1,11 @@
 package analysis
 
 // chanlife.go is the channel-lifecycle analyzer: the concurrency-contract
-// half of the v4 suite (protodrift.go is the wire-contract half). Before the
-// module grows sharded multi-server monitoring — which multiplies the
-// channel/goroutine surface with shard request loops, scatter-gather fan-out
-// and migration queues — every channel's make/send/receive/close protocol
-// should be machine-checked.
+// half of the v4 suite (protodrift.go is the wire-contract half). The server
+// event loop, the client read loops and the flight recorder's dump writer all
+// talk over channels; every channel's make/send/receive/close protocol is
+// machine-checked, and the check found a real receive-side close in
+// FlightRecorder.Close.
 //
 // A channel is identified by a *cell* abstracted over instances, mirroring
 // the lockorder analyzer's lock keys: "Type.field" for a struct field,

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"srb/internal/geom"
@@ -24,7 +27,7 @@ type journaledRun struct {
 	midSeq  uint64
 }
 
-func newJournaledRun(t *testing.T, seed int64) *journaledRun {
+func newJournaledRun(t testing.TB, seed int64) *journaledRun {
 	t.Helper()
 	r := &journaledRun{logBuf: &bytes.Buffer{}, pos: map[uint64]geom.Point{}}
 	r.journal = NewJournal(r.logBuf, 0)
@@ -37,7 +40,7 @@ func newJournaledRun(t *testing.T, seed int64) *journaledRun {
 	return r
 }
 
-func (r *journaledRun) do(t *testing.T, e JournalEntry, op func()) {
+func (r *journaledRun) do(t testing.TB, e JournalEntry, op func()) {
 	t.Helper()
 	r.now += 0.01
 	e.T = r.now
@@ -49,12 +52,12 @@ func (r *journaledRun) do(t *testing.T, e JournalEntry, op func()) {
 	}
 }
 
-func (r *journaledRun) add(t *testing.T, id uint64, p geom.Point) {
+func (r *journaledRun) add(t testing.TB, id uint64, p geom.Point) {
 	r.pos[id] = p
 	r.do(t, JournalEntry{Op: JournalAdd, Obj: id, X: p.X, Y: p.Y}, func() { r.mon.AddObject(id, p) })
 }
 
-func (r *journaledRun) update(t *testing.T, id uint64, p geom.Point) {
+func (r *journaledRun) update(t testing.TB, id uint64, p geom.Point) {
 	r.pos[id] = p
 	r.do(t, JournalEntry{Op: JournalUpdate, Obj: id, X: p.X, Y: p.Y}, func() { r.mon.Update(id, p) })
 }
@@ -62,7 +65,7 @@ func (r *journaledRun) update(t *testing.T, id uint64, p geom.Point) {
 // batch applies a coalesced update batch the way the server pipeline does:
 // journaled in arrival order, applied in ascending-object-ID stable order
 // (the pipeline determinism contract).
-func (r *journaledRun) batch(t *testing.T, ups []BatchedUpdate) {
+func (r *journaledRun) batch(t testing.TB, ups []BatchedUpdate) {
 	ordered := append([]BatchedUpdate(nil), ups...)
 	sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Obj < ordered[b].Obj })
 	r.do(t, JournalEntry{Op: JournalBatch, Batch: ups}, func() {
@@ -261,4 +264,136 @@ func TestJournalRejectsCorruptionMidStream(t *testing.T) {
 	if _, err := ReplayJournal(bytes.NewReader(log), m2, 0); err == nil {
 		t.Fatal("out-of-order journal must fail replay")
 	}
+}
+
+// probingRun journals a small workload around a kNN query, so that some
+// entries carry probe answers.
+func probingRun(t testing.TB) *journaledRun {
+	rng := rand.New(rand.NewSource(29))
+	r := newJournaledRun(t, 29)
+	for i := uint64(0); i < 30; i++ {
+		r.add(t, i, geom.Pt(rng.Float64(), rng.Float64()))
+	}
+	r.do(t, JournalEntry{Op: JournalRegister, QID: 1, Kind: KindKNN, X: 0.5, Y: 0.5, K: 3, Ordered: true}, func() {
+		if _, _, err := r.mon.RegisterKNN(1, geom.Pt(0.5, 0.5), 3, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	r.do(t, JournalEntry{Op: JournalRegister, QID: 2, Kind: KindRange, MinX: 0.3, MinY: 0.3, MaxX: 0.6, MaxY: 0.6}, func() {
+		if _, _, err := r.mon.RegisterRange(2, geom.R(0.3, 0.3, 0.6, 0.6)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for step := 0; step < 60; step++ {
+		id := uint64(rng.Intn(30))
+		p := r.pos[id]
+		r.update(t, id, geom.Pt(clamp01(p.X+(rng.Float64()-0.5)*0.2), clamp01(p.Y+(rng.Float64()-0.5)*0.2)))
+	}
+	r.batch(t, []BatchedUpdate{{Obj: 7, X: 0.5, Y: 0.52}, {Obj: 2, X: 0.45, Y: 0.5}, {Obj: 7, X: 0.51, Y: 0.5}})
+	return r
+}
+
+func noLiveProbes(t testing.TB) Prober {
+	return ProberFunc(func(id uint64) geom.Point {
+		t.Fatalf("replay probed object %d live", id)
+		return geom.Point{}
+	})
+}
+
+func TestReplayRejectsGarbage(t *testing.T) {
+	add := `{"seq":2,"t":0,"op":"add","obj":1,"x":0.5,"y":0.5}` + "\n"
+	for _, c := range []struct{ log, want string }{
+		{`{"seq":1,"t":0,"op":"warp"}` + "\n", `unknown op "warp"`},
+		{`{"seq":1,"t":0,"op":"reg","qid":1,"kind":"hexagon"}` + "\n", `unknown query kind "hexagon"`},
+		{"{bad json\n" + add, "unparseable"},
+	} {
+		m := New(Options{GridM: 8}, noLiveProbes(t), nil)
+		if _, err := ReplayJournal(strings.NewReader(c.log), m, 0); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("replay of %q: err = %v, want %q", c.log, err, c.want)
+		}
+	}
+	// A lone unparseable line is a torn tail, not an error.
+	m := New(Options{GridM: 8}, noLiveProbes(t), nil)
+	rs, err := ReplayJournal(strings.NewReader("{bad json\n"), m, 0)
+	if err != nil || !rs.Torn || rs.Entries != 0 {
+		t.Fatalf("lone bad line: stats %+v, err %v; want a tolerated torn tail", rs, err)
+	}
+}
+
+func TestReplayEmpty(t *testing.T) {
+	m := New(Options{GridM: 8}, noLiveProbes(t), nil)
+	rs, err := ReplayJournal(strings.NewReader(""), m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs != (ReplayStats{}) || m.NumObjects() != 0 || m.NumQueries() != 0 {
+		t.Fatalf("empty replay: stats %+v, %d objects, %d queries", rs, m.NumObjects(), m.NumQueries())
+	}
+}
+
+// TestReplayExactRejectsStrayProbe edits the probe answers of one journaled
+// entry and requires replay to fail with the divergence errors OPERATIONS.md
+// quotes: a probe with no recorded answer, and a recorded answer left over.
+func TestReplayExactRejectsStrayProbe(t *testing.T) {
+	r := probingRun(t)
+	lines := bytes.Split(bytes.TrimSuffix(r.logBuf.Bytes(), []byte("\n")), []byte("\n"))
+	at := -1
+	var e JournalEntry
+	for i, l := range lines {
+		e = JournalEntry{}
+		if err := json.Unmarshal(l, &e); err != nil {
+			t.Fatal(err)
+		}
+		if len(e.ProbesAns) > 0 {
+			at = i
+			break
+		}
+	}
+	if at < 0 {
+		t.Fatal("workload journaled no probe answers")
+	}
+	ans := e.ProbesAns
+	last := ans[len(ans)-1]
+	for _, c := range []struct {
+		name    string
+		answers []ProbeAnswer
+		want    string
+	}{
+		{"dropped answer", ans[:len(ans)-1], fmt.Sprintf("replay probed object %d with no recorded answer", last.ID)},
+		{"extra answer", append(ans[:len(ans):len(ans)], last), "recorded probe answers unused: replay diverged"},
+	} {
+		mod := e
+		mod.ProbesAns = c.answers
+		b, err := json.Marshal(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := append(append(append([][]byte(nil), lines[:at]...), b), lines[at+1:]...)
+		log := append(bytes.Join(edited, []byte("\n")), '\n')
+		m := New(Options{GridM: 8}, noLiveProbes(t), nil)
+		if _, err := ReplayJournal(bytes.NewReader(log), m, 0); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzReplayJournal feeds arbitrary bytes to the journal decoder: replay
+// must never panic, and a replay that reports no error must leave a monitor
+// that passes its invariants.
+func FuzzReplayJournal(f *testing.F) {
+	log := probingRun(f).logBuf.Bytes()
+	f.Add(log)
+	f.Add(log[:len(log)-len(log)/3])
+	f.Add(append(append([]byte(nil), log...), "{\"seq\":999,\"op\n"...))
+	f.Add([]byte(`{"seq":1,"t":0,"op":"warp"}` + "\n"))
+	f.Add([]byte("{bad json\n" + `{"seq":1,"t":0,"op":"add","obj":1,"x":0.5,"y":0.5}` + "\n"))
+	f.Fuzz(func(t *testing.T, log []byte) {
+		m := New(Options{GridM: 8}, noLiveProbes(t), nil)
+		if _, err := ReplayJournal(bytes.NewReader(log), m, 0); err != nil {
+			return
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

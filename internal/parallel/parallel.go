@@ -1,4 +1,4 @@
-// Package parallel implements the sharded batch update pipeline over the
+// Package parallel implements the batch update pipeline over the
 // core Monitor: a tick's location updates are partitioned — via the grid
 // query index — into a conflict-free group (movements touching no quarantine
 // area and owned by objects in no result) and a conflicting residue. The
