@@ -10,7 +10,7 @@ import (
 // adaptive cell expansion of Section 7.4 stays active.
 const maxRelevantForExpansion = 4
 
-// objective returns the rectangle-scoring function for safe-region
+// objective returns the rectangle-scoring objective for safe-region
 // optimization: the exact Theorem 5.1 exit integral (see geom.MeanExitChord
 // for why the paper's perimeter shortcut misbehaves for off-center objects),
 // directionally weighted per Section 6.2 when the steady-movement enhancement

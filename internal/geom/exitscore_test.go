@@ -101,8 +101,8 @@ func TestExitObjectiveRanksInteriorAboveBoundary(t *testing.T) {
 	obj := ExitObjective(p)
 	centered := Rect{0.3, 0.3, 0.7, 0.7}
 	pinned := Rect{0.5, 0.3, 0.9, 0.7} // same size, p on its left edge
-	if obj(centered) <= obj(pinned) {
-		t.Fatalf("centered %v should beat pinned %v", obj(centered), obj(pinned))
+	if obj.Score(centered) <= obj.Score(pinned) {
+		t.Fatalf("centered %v should beat pinned %v", obj.Score(centered), obj.Score(pinned))
 	}
 }
 
@@ -112,14 +112,14 @@ func TestWeightedExitObjectiveForwardBias(t *testing.T) {
 	obj := WeightedExitObjective(plst, p, 0.8)
 	ahead := Rect{0.45, 0.4, 0.75, 0.6}
 	behind := Rect{0.25, 0.4, 0.55, 0.6}
-	if obj(ahead) <= obj(behind) {
-		t.Fatalf("forward region should win: %v vs %v", obj(ahead), obj(behind))
+	if obj.Score(ahead) <= obj.Score(behind) {
+		t.Fatalf("forward region should win: %v vs %v", obj.Score(ahead), obj.Score(behind))
 	}
 	// Zero steadiness or zero heading degrade gracefully.
-	if got := WeightedExitObjective(p, p, 0.8)(ahead); got <= 0 {
+	if got := WeightedExitObjective(p, p, 0.8).Score(ahead); got <= 0 {
 		t.Fatalf("no-heading weighted objective should still be positive: %v", got)
 	}
-	if WeightedExitObjective(plst, p, 0.8)(Rect{2, 2, 3, 3}) != 0 {
+	if WeightedExitObjective(plst, p, 0.8).Score(Rect{2, 2, 3, 3}) != 0 {
 		t.Fatal("region not containing p scores 0")
 	}
 }
@@ -151,5 +151,88 @@ func TestCornerChordLimits(t *testing.T) {
 	// Symmetry.
 	if math.Abs(cornerChord(0.3, 0.7)-cornerChord(0.7, 0.3)) > 1e-12 {
 		t.Fatal("corner term must be symmetric")
+	}
+}
+
+// The slope exitScoreSlope reads from the corner logs must match a central
+// difference of MeanExitChord along every Ir-lp family, and its score must be
+// MeanExitChord bit for bit.
+func TestExitScoreSlopeMatchesFiniteDifference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	const h = 1e-6
+	for kind := inscribed; kind <= ringV; kind++ {
+		checked := 0
+		for checked < 2000 {
+			q, rad := Pt(rng.Float64(), rng.Float64()), 0.05+rng.Float64()
+			fam := family{
+				kind:  kind,
+				q:     q,
+				r:     rad,
+				inner: 0.05 * rng.Float64(),
+				t:     Pt(q.X+rad+0.1+rng.Float64(), q.Y+rad+0.1+rng.Float64()),
+			}
+			theta := 0.05 + (math.Pi/2-0.1)*rng.Float64()
+			r, dr := fam.at(theta)
+			p := Pt(r.MinX+r.Width()*(0.1+0.8*rng.Float64()), r.MinY+r.Height()*(0.1+0.8*rng.Float64()))
+			if !fam.rect(theta-h).Contains(p) || !fam.rect(theta+h).Contains(p) {
+				continue
+			}
+			checked++
+			f, g := exitScoreSlope(r, dr, p)
+			if want := MeanExitChord(r, p); f != want {
+				t.Fatalf("family %d θ %v: score %.17g, MeanExitChord %.17g", kind, theta, f, want)
+			}
+			fd := (MeanExitChord(fam.rect(theta+h), p) - MeanExitChord(fam.rect(theta-h), p)) / (2 * h)
+			if math.Abs(g-fd) > 1e-5*(1+math.Abs(fd)) {
+				t.Errorf("family %d θ %v: slope %.10g, central difference %.10g", kind, theta, g, fd)
+			}
+		}
+	}
+}
+
+// A margin of zero has an infinite partial, so the slope is ±Inf in the
+// direction its edge moves, 0 from an edge that does not move, and never NaN.
+func TestExitScoreSlopeZeroMargins(t *testing.T) {
+	if da, db := cornerSlopes(0, 1); !math.IsInf(da, 1) || db != 0 {
+		t.Fatalf("cornerSlopes(0, 1) = %v, %v; want +Inf, 0", da, db)
+	}
+	if da, db := cornerSlopes(1, 0); da != 0 || !math.IsInf(db, 1) {
+		t.Fatalf("cornerSlopes(1, 0) = %v, %v; want 0, +Inf", da, db)
+	}
+	if da, db := cornerSlopes(0, 0); da != 0 || db != 0 {
+		t.Fatalf("cornerSlopes(0, 0) = %v, %v; want 0, 0", da, db)
+	}
+	r := Rect{0, 0, 1, 1}
+	onRight := Pt(1, 0.5) // the right margin is 0
+	for _, c := range []struct {
+		name string
+		r    Rect
+		p    Point
+		dr   Rect
+		want float64 // ±Inf, or 0 for "finite"
+	}{
+		{"right edge moving out", r, onRight, Rect{0, 0, 1, 0}, math.Inf(1)},
+		{"right edge moving in", r, onRight, Rect{0, 0, -1, 0}, math.Inf(-1)},
+		{"left edge moving out", r, Pt(0, 0.5), Rect{-1, 0, 0, 0}, math.Inf(1)},
+		{"bottom edge moving in", r, Pt(0.5, 0), Rect{0, 1, 0, 0}, math.Inf(-1)},
+		{"top edge moving out", r, Pt(0.5, 1), Rect{0, 0, 0, 1}, math.Inf(1)},
+		{"zero margin, still edge", r, onRight, Rect{-1, 0.5, 0, -0.5}, 0},
+		{"corner sliding along the arc", r, Pt(1, 1), Rect{0, 0, 1, -1}, 0},
+		{"p just outside", r, Pt(1+1e-12, 0.5), Rect{0, 0, 1, 0}, math.Inf(1)},
+	} {
+		f, g := exitScoreSlope(c.r, c.dr, c.p)
+		if math.IsNaN(g) || math.IsNaN(f) {
+			t.Errorf("%s: score %v, slope %v: NaN", c.name, f, g)
+			continue
+		}
+		if math.IsInf(c.want, 0) && g != c.want {
+			t.Errorf("%s: slope %v, want %v", c.name, g, c.want)
+		}
+		if c.want == 0 && math.IsInf(g, 0) {
+			t.Errorf("%s: slope %v, want finite", c.name, g)
+		}
+		if f != MeanExitChord(c.r, c.p) {
+			t.Errorf("%s: score %v, MeanExitChord %v", c.name, f, MeanExitChord(c.r, c.p))
+		}
 	}
 }

@@ -17,8 +17,8 @@ func sanitize(v float64) (float64, bool) {
 // FuzzIrlpCircle cross-checks the Proposition 5.2 inscribed-rectangle
 // construction against its defining properties and a brute-force sampler over
 // the same rectangle family: the result must contain p, stay inside the disk
-// and the cell, and its perimeter must not be beaten by any sampled inscribed
-// rectangle that also contains p.
+// and the cell, and its exit integral (MeanExitChord) must not be beaten by
+// any sampled inscribed rectangle that also contains p.
 func FuzzIrlpCircle(f *testing.F) {
 	f.Add(0.5, 0.5, 0.25, 0.3, 0.7)
 	f.Add(0.4, 0.6, 0.1, 0.99, 0.01)
@@ -38,7 +38,7 @@ func FuzzIrlpCircle(f *testing.F) {
 		c := Circle{Center: Pt(0.3+0.4*cx, 0.3+0.4*cy), R: 0.02 + 0.27*cr}
 		p := Pt(px, py)
 
-		got := IrlpCircle(c, p, cell, Perimeter)
+		got := IrlpCircle(c, p, cell, ExitObjective(p))
 		if !got.IsValid() {
 			t.Fatalf("IrlpCircle(%v, %v) returned invalid rect %v", c, p, got)
 		}
@@ -62,13 +62,13 @@ func FuzzIrlpCircle(f *testing.F) {
 			hw := c.R * math.Sin(theta)
 			hh := c.R * math.Cos(theta)
 			r := Rect{c.Center.X - hw, c.Center.Y - hh, c.Center.X + hw, c.Center.Y + hh}
-			if r.Contains(p) && r.Perimeter() > best {
-				best = r.Perimeter()
+			if r.Contains(p) {
+				best = max(best, MeanExitChord(r, p))
 			}
 		}
-		if got.Perimeter() < best-1e-6 {
-			t.Fatalf("IrlpCircle(%v, %v) perimeter %g beaten by sampled inscribed rect %g",
-				c, p, got.Perimeter(), best)
+		if s := MeanExitChord(got, p); s < best-1e-9*(1+best) {
+			t.Fatalf("IrlpCircle(%v, %v) exit integral %g beaten by sampled inscribed rect %g",
+				c, p, s, best)
 		}
 	})
 }
@@ -96,7 +96,7 @@ func FuzzIrlpCircleComplement(f *testing.F) {
 			t.Skip() // the complement construction is specified for outside points
 		}
 
-		got := IrlpCircleComplement(c, p, cell, Perimeter)
+		got := IrlpCircleComplement(c, p, cell, ExitObjective(p))
 		if !got.IsValid() {
 			t.Fatalf("IrlpCircleComplement(%v, %v) returned invalid rect %v", c, p, got)
 		}
@@ -137,7 +137,7 @@ func FuzzIrlpRing(f *testing.F) {
 			t.Skip() // the ring construction is specified for points in the annulus
 		}
 
-		got := IrlpRing(rg, p, cell, Perimeter)
+		got := IrlpRing(rg, p, cell, ExitObjective(p))
 		if !got.IsValid() {
 			t.Fatalf("IrlpRing(%v, %v) returned invalid rect %v", rg, p, got)
 		}

@@ -2,47 +2,67 @@ package geom
 
 import "math"
 
-// The Ir-lp constructions as they stood before the golden-section θ search,
-// kept verbatim (renamed) as the reference TestOptimizeThetaAgainstReference
-// compares against: refOptimizeTheta runs the previous 48-round ternary
-// search, whose 1e-12 exit test never fires on a bracket wider than about
-// 3e-4, and scores reflected families through a closure.
+// The Ir-lp constructions as they stood before the slope search, kept
+// verbatim (renamed) as the reference TestOptimizeThetaAgainstReference and
+// TestThetaSearchHardCases compare against: refOptimizeTheta scores the
+// interval endpoints and the analytic point, then runs refGoldenSection, a
+// golden-section search stopped at a √ε bracket, through an objective
+// closure. refObjective stands in for the closure type the objective was.
 
-func refOptimizeTheta(lo, hi float64, mk func(float64) Rect, obj Objective, analytic ...float64) (Rect, float64, bool) {
+type refObjective = func(Rect) float64
+
+const refThetaTol = 1.0 / (1 << 26)
+
+const refInvPhi = 0.6180339887498949
+
+func refGoldenSection(lo, hi float64, mk func(float64) Rect, obj refObjective, rf reflection) (float64, float64) {
+	a, b := lo, hi
+	if b-a <= refThetaTol {
+		mid := (a + b) / 2
+		return mid, obj(rf.rect(mk(mid)))
+	}
+	x1, x2 := b-refInvPhi*(b-a), a+refInvPhi*(b-a)
+	f1, f2 := obj(rf.rect(mk(x1))), obj(rf.rect(mk(x2)))
+	for b-a > refThetaTol {
+		if f1 < f2 {
+			a, x1, f1 = x1, x2, f2
+			x2 = a + refInvPhi*(b-a)
+			f2 = obj(rf.rect(mk(x2)))
+		} else {
+			b, x2, f2 = x2, x1, f1
+			x1 = b - refInvPhi*(b-a)
+			f1 = obj(rf.rect(mk(x1)))
+		}
+	}
+	if f1 < f2 {
+		return x2, f2
+	}
+	return x1, f1
+}
+
+func refOptimizeTheta(lo, hi float64, mk func(float64) Rect, obj refObjective, rf reflection, analytic float64) (Rect, bool) {
 	if lo > hi {
-		return Rect{}, 0, false
+		return Rect{}, false
 	}
 	best := mk(lo)
-	bestScore := obj(best)
+	bestScore := obj(rf.rect(best))
 	try := func(theta float64) {
 		r := mk(theta)
-		if s := obj(r); s > bestScore {
+		if s := obj(rf.rect(r)); s > bestScore {
 			best, bestScore = r, s
 		}
 	}
 	try(hi)
-	for _, a := range analytic {
-		if a > lo && a < hi {
-			try(a)
-		}
+	if analytic > lo && analytic < hi {
+		try(analytic)
 	}
-	// Golden-section style refinement; 48 iterations are far below any
-	// practically observable tolerance for coordinates in the unit square.
-	a, b := lo, hi
-	for i := 0; i < 48 && b-a > 1e-12; i++ {
-		m1 := a + (b-a)/3
-		m2 := b - (b-a)/3
-		if obj(mk(m1)) < obj(mk(m2)) {
-			a = m1
-		} else {
-			b = m2
-		}
+	if theta, s := refGoldenSection(lo, hi, mk, obj, rf); s > bestScore {
+		best = mk(theta)
 	}
-	try((a + b) / 2)
-	return best, bestScore, true
+	return best, true
 }
 
-func refIrlpCircle(c Circle, p Point, cell Rect, obj Objective) Rect {
+func refIrlpCircle(c Circle, p Point, cell Rect, obj refObjective) Rect {
 	if c.R <= 0 || !c.Contains(p) {
 		return RectAround(p).Intersect(cell)
 	}
@@ -61,7 +81,7 @@ func refIrlpCircle(c Circle, p Point, cell Rect, obj Objective) Rect {
 		hh := c.R * math.Cos(theta)
 		return Rect{q.X - hw, q.Y - hh, q.X + hw, q.Y + hh}
 	}
-	best, _, ok := refOptimizeTheta(thetaLo, thetaHi, mk, refObjReflected(obj, rf), math.Pi/4)
+	best, ok := refOptimizeTheta(thetaLo, thetaHi, mk, obj, rf, math.Pi/4)
 	if !ok {
 		return RectAround(p).Intersect(cell)
 	}
@@ -69,7 +89,7 @@ func refIrlpCircle(c Circle, p Point, cell Rect, obj Objective) Rect {
 	return ensureContains(out, p, cell)
 }
 
-func refIrlpCircleComplement(c Circle, p Point, cell Rect, obj Objective) Rect {
+func refIrlpCircleComplement(c Circle, p Point, cell Rect, obj refObjective) Rect {
 	if !c.IntersectsRect(cell) {
 		return cell
 	}
@@ -88,13 +108,12 @@ func refIrlpCircleComplement(c Circle, p Point, cell Rect, obj Objective) Rect {
 	t := Point{ce.MaxX, ce.MaxY} // Lemma 5.3: cell corner of p's quadrant
 
 	best := RectAround(cp)
-	robj := refObjReflected(obj, rf)
-	bestScore := robj(best)
+	bestScore := obj(rf.rect(best))
 	consider := func(r Rect) {
 		if !r.IsValid() || !r.Contains(cp) {
 			return
 		}
-		if s := robj(r); s > bestScore {
+		if s := obj(rf.rect(r)); s > bestScore {
 			best, bestScore = r, s
 		}
 	}
@@ -114,7 +133,7 @@ func refIrlpCircleComplement(c Circle, p Point, cell Rect, obj Objective) Rect {
 			x := Point{q.X + c.R*math.Sin(theta), q.Y + c.R*math.Cos(theta)}
 			return R(x.X, x.Y, t.X, t.Y)
 		}
-		if r, _, ok := refOptimizeTheta(thetaY, thetaX, mk, robj, math.Pi/4); ok && r.Contains(cp) {
+		if r, ok := refOptimizeTheta(thetaY, thetaX, mk, obj, rf, math.Pi/4); ok && r.Contains(cp) {
 			consider(r)
 		}
 	}
@@ -131,7 +150,7 @@ func refIrlpCircleComplement(c Circle, p Point, cell Rect, obj Objective) Rect {
 	return ensureContains(out, p, cell)
 }
 
-func refIrlpRing(rg Ring, p Point, cell Rect, obj Objective) Rect {
+func refIrlpRing(rg Ring, p Point, cell Rect, obj refObjective) Rect {
 	if rg.Inner <= 0 {
 		return refIrlpCircle(Circle{rg.Center, rg.Outer}, p, cell, obj)
 	}
@@ -146,13 +165,12 @@ func refIrlpRing(rg Ring, p Point, cell Rect, obj Objective) Rect {
 	rr, RR := rg.Inner, rg.Outer
 
 	best := RectAround(cp)
-	robj := refObjReflected(obj, rf)
-	bestScore := robj(best)
+	bestScore := obj(rf.rect(best))
 	consider := func(r Rect) {
 		if !r.IsValid() || !r.Contains(cp) {
 			return
 		}
-		if s := robj(r); s > bestScore {
+		if s := obj(rf.rect(r)); s > bestScore {
 			best, bestScore = r, s
 		}
 	}
@@ -167,7 +185,7 @@ func refIrlpRing(rg Ring, p Point, cell Rect, obj Objective) Rect {
 			top := RR * math.Cos(theta)
 			return Rect{q.X - hw, q.Y + rr, q.X + hw, q.Y + top}
 		}
-		if r, _, ok := refOptimizeTheta(thetaLo, thetaHi, mk, robj, math.Atan(2)); ok {
+		if r, ok := refOptimizeTheta(thetaLo, thetaHi, mk, obj, rf, math.Atan(2)); ok {
 			consider(r)
 		}
 	}
@@ -178,7 +196,7 @@ func refIrlpRing(rg Ring, p Point, cell Rect, obj Objective) Rect {
 			right := RR * math.Sin(theta)
 			return Rect{q.X + rr, q.Y - hh, q.X + right, q.Y + hh}
 		}
-		if r, _, ok := refOptimizeTheta(thetaLo, thetaHi, mk, robj, math.Atan(0.5)); ok {
+		if r, ok := refOptimizeTheta(thetaLo, thetaHi, mk, obj, rf, math.Atan(0.5)); ok {
 			consider(r)
 		}
 	}
@@ -195,12 +213,4 @@ func refIrlpRing(rg Ring, p Point, cell Rect, obj Objective) Rect {
 
 	out := rf.rect(best).Intersect(cell)
 	return ensureContains(out, p, cell)
-}
-
-func refObjReflected(obj Objective, rf reflection) Objective {
-	//lint:allow floatcmp sx/sy are exact ±1 reflection sentinels, never computed
-	if rf.sx == 1 && rf.sy == 1 {
-		return obj
-	}
-	return func(r Rect) float64 { return obj(rf.rect(r)) }
 }

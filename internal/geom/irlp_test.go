@@ -14,7 +14,7 @@ var unitCell = Rect{0, 0, 1, 1}
 func TestIrlpCircleCentered(t *testing.T) {
 	// p at the center: the optimum is the inscribed square (θ = π/4).
 	c := Circle{Pt(0.5, 0.5), 0.3}
-	got := IrlpCircle(c, c.Center, Rect{-1, -1, 2, 2}, Perimeter)
+	got := IrlpCircle(c, c.Center, Rect{-1, -1, 2, 2}, ExitObjective(c.Center))
 	side := 0.3 * math.Sqrt2
 	if math.Abs(got.Width()-side) > 1e-9 || math.Abs(got.Height()-side) > 1e-9 {
 		t.Fatalf("inscribed square expected, got %v", got)
@@ -28,22 +28,33 @@ func TestIrlpCircleOffCenterPoint(t *testing.T) {
 	// p near the right edge forces θ ≥ θx > π/4: a tall thin rectangle.
 	c := Circle{Pt(0.5, 0.5), 0.3}
 	p := Pt(0.79, 0.5)
-	got := IrlpCircle(c, p, Rect{-1, -1, 2, 2}, Perimeter)
+	got := IrlpCircle(c, p, Rect{-1, -1, 2, 2}, ExitObjective(p))
 	if !got.Contains(p) {
 		t.Fatalf("region %v does not contain p %v", got, p)
 	}
-	if !c.ContainsRect(got) {
+	if !c.ContainsRect(got.Expand(-1e-12)) { // a corner on the circle may round an ulp outside
 		t.Fatalf("region %v exceeds circle", got)
 	}
-	// Analytic: θ = arcsin(0.29/0.3); hw = 0.29.
-	if math.Abs(got.Width()-0.58) > 1e-9 {
-		t.Fatalf("width = %v, want 0.58", got.Width())
+	// The perimeter optimum θ = arcsin(0.29/0.3) (half-width 0.29) pins p on
+	// the right edge; the exit integral keeps p strictly inside, and no
+	// sampled inscribed rectangle containing p scores higher.
+	if got.Width() <= 0.58 || got.Height() >= 2*math.Sqrt(0.3*0.3-0.29*0.29) {
+		t.Fatalf("width %v, height %v: want wider than 0.58 and shorter than at θx", got.Width(), got.Height())
+	}
+	best := 0.0
+	for i := 0; i <= 4096; i++ {
+		theta := float64(i) / 4096 * math.Pi / 2
+		hw, hh := c.R*math.Sin(theta), c.R*math.Cos(theta)
+		best = max(best, MeanExitChord(Rect{0.5 - hw, 0.5 - hh, 0.5 + hw, 0.5 + hh}, p))
+	}
+	if s := MeanExitChord(got, p); s < best-1e-9 {
+		t.Fatalf("score %v below the sampled optimum %v", s, best)
 	}
 }
 
 func TestIrlpCirclePOutside(t *testing.T) {
 	c := Circle{Pt(0.5, 0.5), 0.1}
-	got := IrlpCircle(c, Pt(0.9, 0.9), unitCell, Perimeter)
+	got := IrlpCircle(c, Pt(0.9, 0.9), unitCell, ExitObjective(Pt(0.9, 0.9)))
 	if got.Area() != 0 {
 		t.Fatalf("expected degenerate rect for p outside, got %v", got)
 	}
@@ -57,7 +68,7 @@ func TestIrlpCircleProperty(t *testing.T) {
 		rr := c.R * 0.999 * u16(frac)
 		p := Pt(c.Center.X+rr*math.Cos(a), c.Center.Y+rr*math.Sin(a))
 		cell := Rect{-1, -1, 2, 2}
-		got := IrlpCircle(c, p, cell, Perimeter)
+		got := IrlpCircle(c, p, cell, ExitObjective(p))
 		return got.Contains(p) && c.ContainsRect(got.Expand(-1e-9)) && got.Perimeter() >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -69,7 +80,7 @@ func TestIrlpCircleProperty(t *testing.T) {
 
 func TestIrlpComplementDisjointCircle(t *testing.T) {
 	c := Circle{Pt(5, 5), 0.5}
-	got := IrlpCircleComplement(c, Pt(0.5, 0.5), unitCell, Perimeter)
+	got := IrlpCircleComplement(c, Pt(0.5, 0.5), unitCell, ExitObjective(Pt(0.5, 0.5)))
 	if got != unitCell {
 		t.Fatalf("circle far away: whole cell expected, got %v", got)
 	}
@@ -77,10 +88,11 @@ func TestIrlpComplementDisjointCircle(t *testing.T) {
 
 func TestIrlpComplementStrip(t *testing.T) {
 	// Circle at the cell center; p well above it: the full-width strip above
-	// the circle must win (perimeter 2(1 + 0.3) = 2.6 beats any corner rect).
+	// the circle must win (the only arc-family rectangle, θ = 0, has p on its
+	// left edge).
 	c := Circle{Pt(0.5, 0.5), 0.2}
 	p := Pt(0.5, 0.9)
-	got := IrlpCircleComplement(c, p, unitCell, Perimeter)
+	got := IrlpCircleComplement(c, p, unitCell, ExitObjective(p))
 	want := Rect{0, 0.7, 1, 1}
 	if math.Abs(got.MinY-want.MinY) > 1e-9 || got.MinX != 0 || got.MaxX != 1 || got.MaxY != 1 {
 		t.Fatalf("got %v, want %v", got, want)
@@ -92,7 +104,7 @@ func TestIrlpComplementCorner(t *testing.T) {
 	// family applies.
 	c := Circle{Pt(0.4, 0.4), 0.3}
 	p := Pt(0.62, 0.62)
-	got := IrlpCircleComplement(c, p, unitCell, Perimeter)
+	got := IrlpCircleComplement(c, p, unitCell, ExitObjective(p))
 	if !got.Contains(p) {
 		t.Fatalf("region %v does not contain %v", got, p)
 	}
@@ -109,7 +121,7 @@ func TestIrlpComplementProperty(t *testing.T) {
 		if c.Contains(p) {
 			return true // precondition: p outside quarantine circle
 		}
-		got := IrlpCircleComplement(c, p, unitCell, Perimeter)
+		got := IrlpCircleComplement(c, p, unitCell, ExitObjective(p))
 		if !got.Contains(p) || !got.IsValid() {
 			return false
 		}
@@ -130,18 +142,28 @@ func TestIrlpComplementProperty(t *testing.T) {
 	}
 }
 
-// The complement Ir-lp must prefer interval endpoints over the paper's
-// (erroneous) θ=π/4 interior optimum; see DESIGN.md errata. With a symmetric
-// configuration both endpoints beat π/4.
+// The complement Ir-lp must not trust the paper's θ=π/4 "optimum" of Prop
+// 5.4: along the family the perimeter is smallest there (see DESIGN.md
+// errata), so both endpoints beat π/4 on perimeter. The exit integral does
+// peak at π/4 in this symmetric configuration, and the construction must
+// find that peak: its region scores at least as much as the θ=π/4
+// rectangle and both endpoint rectangles.
 func TestIrlpComplementNotParkedAtQuarterPi(t *testing.T) {
 	c := Circle{Pt(0, 0), 0.5}
 	cell := Rect{-1, -1, 1, 1}
 	p := Pt(0.45, 0.45) // outside the circle, diagonal
-	got := IrlpCircleComplement(c, p, cell, Perimeter)
+	got := IrlpCircleComplement(c, p, cell, ExitObjective(p))
+	at := func(theta float64) Rect { return R(0.5*math.Sin(theta), 0.5*math.Cos(theta), 1, 1) }
 	// θ=π/4 rectangle would be [0.354,1]x[0.354,1] with perimeter ~2.59.
-	quarter := 2 * ((1 - 0.5/math.Sqrt2) * 2)
-	if got.Perimeter() <= quarter+1e-9 {
-		t.Fatalf("perimeter %v not better than θ=π/4 rect %v", got.Perimeter(), quarter)
+	quarter, lo, hi := at(math.Pi/4), at(math.Acos(0.9)), at(math.Asin(0.9))
+	if quarter.Perimeter() >= lo.Perimeter() || quarter.Perimeter() >= hi.Perimeter() {
+		t.Fatalf("perimeter at π/4 %v not below the endpoints' %v, %v", quarter.Perimeter(), lo.Perimeter(), hi.Perimeter())
+	}
+	s := MeanExitChord(got, p)
+	for _, r := range []Rect{quarter, lo, hi} {
+		if s < MeanExitChord(r, p)-1e-12 {
+			t.Fatalf("region %v scores %v, below %v's %v", got, s, r, MeanExitChord(r, p))
+		}
 	}
 }
 
@@ -149,7 +171,7 @@ func TestIrlpComplementNotParkedAtQuarterPi(t *testing.T) {
 
 func TestIrlpRingDegeneratesToCircle(t *testing.T) {
 	rg := Ring{Pt(0.5, 0.5), 0, 0.3}
-	got := IrlpRing(rg, Pt(0.5, 0.5), Rect{-1, -1, 2, 2}, Perimeter)
+	got := IrlpRing(rg, Pt(0.5, 0.5), Rect{-1, -1, 2, 2}, ExitObjective(Pt(0.5, 0.5)))
 	side := 0.3 * math.Sqrt2
 	if math.Abs(got.Width()-side) > 1e-9 {
 		t.Fatalf("expected inscribed square of outer circle, got %v", got)
@@ -159,15 +181,23 @@ func TestIrlpRingDegeneratesToCircle(t *testing.T) {
 func TestIrlpRingBelow(t *testing.T) {
 	rg := Ring{Pt(0.5, 0.5), 0.05, 0.4}
 	p := Pt(0.5, 0.44) // just below the inner circle, so θ=arctan2 is feasible
-	got := IrlpRing(rg, p, Rect{-1, -1, 2, 2}, Perimeter)
+	got := IrlpRing(rg, p, Rect{-1, -1, 2, 2}, ExitObjective(p))
 	if !got.Contains(p) {
 		t.Fatalf("region %v does not contain %v", got, p)
 	}
-	// Optimal layout-H at θ=arctan2: perimeter 4R·sinθ + 2(R·cosθ − r).
-	th := math.Atan(2.0)
-	want := 4*0.4*math.Sin(th) + 2*(0.4*math.Cos(th)-0.05)
-	if math.Abs(got.Perimeter()-want) > 1e-6 {
-		t.Fatalf("perimeter %v, want %v", got.Perimeter(), want)
+	// Layout H (mirrored below the inner circle): the perimeter optimum is
+	// θ = arctan 2; under the exit integral no sampled rectangle of the
+	// family that contains p may score higher than the region.
+	best := 0.0
+	for i := 0; i <= 4096; i++ {
+		th := float64(i) / 4096 * math.Pi / 2
+		hw, bottom := 0.4*math.Sin(th), 0.4*math.Cos(th)
+		if r := (Rect{0.5 - hw, 0.5 - bottom, 0.5 + hw, 0.45}); r.Contains(p) {
+			best = max(best, MeanExitChord(r, p))
+		}
+	}
+	if s := MeanExitChord(got, p); s < best-1e-9 {
+		t.Fatalf("score %v below the sampled layout-H optimum %v", s, best)
 	}
 }
 
@@ -179,7 +209,7 @@ func TestIrlpRingDiagonalGap(t *testing.T) {
 	if !rg.Contains(p) {
 		t.Fatal("test setup: p must be inside the ring")
 	}
-	got := IrlpRing(rg, p, Rect{-1, -1, 2, 2}, Perimeter)
+	got := IrlpRing(rg, p, Rect{-1, -1, 2, 2}, ExitObjective(p))
 	if !got.Contains(p) {
 		t.Fatalf("region %v does not contain %v", got, p)
 	}
@@ -198,7 +228,7 @@ func TestIrlpRingProperty(t *testing.T) {
 		d := inner + (outer-inner)*u16(frac)
 		p := Pt(rg.Center.X+d*math.Cos(a), rg.Center.Y+d*math.Sin(a))
 		cell := Rect{-2, -2, 3, 3}
-		got := IrlpRing(rg, p, cell, Perimeter)
+		got := IrlpRing(rg, p, cell, ExitObjective(p))
 		if !got.Contains(p) || !got.IsValid() {
 			return false
 		}
@@ -219,96 +249,192 @@ func TestIrlpRingProperty(t *testing.T) {
 
 // --- θ search ---------------------------------------------------------------
 
-// The golden-section search stopped at √ε must build valid regions with at
-// most 44 objective evaluations per optimizeTheta call, and regions as good
-// as the 48-round ternary reference's (irlp_ref_test.go). Under ExitObjective, the monitor's
-// default, that holds case by case. WeightedExitObjective is not unimodal
-// along θ: the clamped arccos puts cusps on the curve, and the complement
-// is optimized on the enlarged cell before clipping, so when two near-equal
-// peaks compete either search may pick the one that clips worse. Neither
-// search dominates there; on four seeds the new one lost 30 and won 32 of
-// 204k such cases. The weighted bound is therefore a rare-loss rate plus an
-// unchanged score total.
+// The slope search must build valid regions as good as the parent's
+// golden-section constructions (irlp_ref_test.go). Under ExitObjective, the
+// monitor's default, that holds case by case, and no θ search may reach
+// maxSlopeEvals (32): the cap must never cut a search short.
+// WeightedExitObjective keeps the golden-section search (at most 44
+// evaluations), and for it the bound is statistical: the clamped arccos
+// puts cusps on the curve, and the complement is optimized on the enlarged
+// cell before clipping, so when two near-equal peaks compete either search
+// may pick the one that clips worse. Clipping can also magnify a
+// difference in θ below thetaTol, so the exit bound is a property of this
+// seed rather than a theorem: on seeds 1-8 (408k exit cases) one ring case
+// lost, by 2.2e-6 of its score. Each construction and objective runs as its
+// own subtest with its own failure cap, so one failing construction cannot
+// skip the others.
 func TestOptimizeThetaAgainstReference(t *testing.T) {
 	const casesPer = 17000 // × 3 constructions × 2 objectives = 102k cases
 	rng := rand.New(rand.NewSource(25))
-	evals, maxEvals := 0, 0
-	counting := func(obj Objective) Objective {
-		return func(r Rect) float64 { evals++; return obj(r) }
-	}
 
 	// The widest bracket any construction can pass is [0, π/2].
 	c := Circle{Pt(0.5, 0.5), 0.3}
-	mk := func(theta float64) Rect {
-		hw, hh := c.R*math.Sin(theta), c.R*math.Cos(theta)
-		return Rect{c.Center.X - hw, c.Center.Y - hh, c.Center.X + hw, c.Center.Y + hh}
+	fam := family{kind: inscribed, q: c.Center, r: c.R}
+	rf := canonicalize(c.Center, c.Center)
+	if _, n, _ := optimizeTheta(0, math.Pi/2, fam, ExitObjective(c.Center), rf, math.Pi/4); n >= maxSlopeEvals {
+		t.Fatalf("optimizeTheta over [0, π/2] made %d exit evaluations, want < %d", n, maxSlopeEvals)
 	}
-	optimizeTheta(0, math.Pi/2, mk, counting(ExitObjective(c.Center)), canonicalize(c.Center, c.Center), math.Pi/4)
-	if evals > 44 {
-		t.Fatalf("optimizeTheta over [0, π/2] made %d evaluations, want ≤ 44", evals)
+	if _, n, _ := optimizeTheta(0, math.Pi/2, fam, WeightedExitObjective(Pt(0.45, 0.5), c.Center, 0.5), rf, math.Pi/4); n > 44 {
+		t.Fatalf("optimizeTheta over [0, π/2] made %d weighted evaluations, want ≤ 44", n)
 	}
 
-	failures := 0
 	for kind, name := range []string{"IrlpCircle", "IrlpCircleComplement", "IrlpRing"} {
 		for _, weighted := range []bool{false, true} {
-			losses, sumGot, sumRef := 0, 0.0, 0.0
-			for i := 0; i < casesPer && failures < 10; i++ {
-				p := Pt(rng.Float64(), rng.Float64())
-				side := 0.01 + 0.99*rng.Float64()
-				lx, ly := side*rng.Float64(), side*rng.Float64()
-				cell := Rect{p.X - lx, p.Y - ly, p.X - lx + side, p.Y - ly + side}
-				q := Pt(1.4*rng.Float64()-0.2, 1.4*rng.Float64()-0.2)
-				d := q.Dist(p)
-				obj := ExitObjective(p)
-				if weighted {
-					a := 2 * math.Pi * rng.Float64()
-					obj = WeightedExitObjective(Pt(p.X-0.01*math.Cos(a), p.Y-0.01*math.Sin(a)), p, 0.5)
-				}
-
-				var got, ref Rect
-				var inShape bool
-				evals = 0
-				switch kind {
-				case 0:
-					c := Circle{q, d / (0.001 + 0.999*rng.Float64())}
-					got, ref = IrlpCircle(c, p, cell, counting(obj)), refIrlpCircle(c, p, cell, obj)
-					inShape = got.MaxDist(q) <= c.R+1e-9
-					// IrlpCircle scores candidates only inside its one optimizeTheta call.
-					maxEvals = max(maxEvals, evals)
-				case 1:
-					c := Circle{q, d * rng.Float64()}
-					got, ref = IrlpCircleComplement(c, p, cell, obj), refIrlpCircleComplement(c, p, cell, obj)
-					inShape = got.MinDist(q) >= c.R-1e-9
-				default:
-					rg := Ring{q, d * rng.Float64(), d / (0.001 + 0.999*rng.Float64())}
-					got, ref = IrlpRing(rg, p, cell, obj), refIrlpRing(rg, p, cell, obj)
-					inShape = got.MaxDist(q) <= rg.Outer+1e-9 && got.MinDist(q) >= rg.Inner-1e-9
-				}
-
-				if !got.IsValid() || !got.Contains(p) || !cell.ContainsRect(got) || !inShape {
-					t.Errorf("%s (weighted %v) case %d: invalid region %v for p %v, cell %v", name, weighted, i, got, p, cell)
-					failures++
-				}
-				gs, rs := obj(got), obj(ref)
-				sumGot, sumRef = sumGot+gs, sumRef+rs
-				if gs >= rs-max(1e-6*rs, 1e-9) {
-					continue
-				}
-				losses++
-				if !weighted {
-					t.Errorf("%s case %d: score %.12g below reference %.12g (region %v, reference %v)",
-						name, i, gs, rs, got, ref)
-					failures++
-				}
+			sub := name + "/exit"
+			if weighted {
+				sub = name + "/weighted"
 			}
-			if weighted && (losses > casesPer/1000 || sumGot < sumRef*(1-1e-5)) {
-				t.Errorf("%s (weighted): %d of %d regions score below the reference; score total %.9g of the reference's",
-					name, losses, casesPer, sumGot/sumRef)
-			}
+			t.Run(sub, func(t *testing.T) {
+				failures, losses, wins, maxEvals, sumEvals := 0, 0, 0, 0, 0
+				sumGot, sumRef := 0.0, 0.0
+				for i := 0; i < casesPer && failures < 10; i++ {
+					p := Pt(rng.Float64(), rng.Float64())
+					side := 0.01 + 0.99*rng.Float64()
+					lx, ly := side*rng.Float64(), side*rng.Float64()
+					cell := Rect{p.X - lx, p.Y - ly, p.X - lx + side, p.Y - ly + side}
+					q := Pt(1.4*rng.Float64()-0.2, 1.4*rng.Float64()-0.2)
+					d := q.Dist(p)
+					obj := ExitObjective(p)
+					if weighted {
+						a := 2 * math.Pi * rng.Float64()
+						obj = WeightedExitObjective(Pt(p.X-0.01*math.Cos(a), p.Y-0.01*math.Sin(a)), p, 0.5)
+					}
+
+					var got, ref Rect
+					var evals int
+					var inShape bool
+					switch kind {
+					case 0:
+						c := Circle{q, d / (0.001 + 0.999*rng.Float64())}
+						got, evals = irlpCircle(c, p, cell, obj)
+						ref = refIrlpCircle(c, p, cell, obj.Score)
+						inShape = got.MaxDist(q) <= c.R+1e-9
+					case 1:
+						c := Circle{q, d * rng.Float64()}
+						got, evals = irlpCircleComplement(c, p, cell, obj)
+						ref = refIrlpCircleComplement(c, p, cell, obj.Score)
+						inShape = got.MinDist(q) >= c.R-1e-9
+					default:
+						rg := Ring{q, d * rng.Float64(), d / (0.001 + 0.999*rng.Float64())}
+						got, evals = irlpRing(rg, p, cell, obj)
+						ref = refIrlpRing(rg, p, cell, obj.Score)
+						inShape = got.MaxDist(q) <= rg.Outer+1e-9 && got.MinDist(q) >= rg.Inner-1e-9
+					}
+					maxEvals, sumEvals = max(maxEvals, evals), sumEvals+evals
+
+					if !got.IsValid() || !got.Contains(p) || !cell.ContainsRect(got) || !inShape {
+						t.Errorf("case %d: invalid region %v for p %v, cell %v", i, got, p, cell)
+						failures++
+					}
+					gs, rs := obj.Score(got), obj.Score(ref)
+					sumGot, sumRef = sumGot+gs, sumRef+rs
+					if gs > rs+max(1e-6*rs, 1e-9) {
+						wins++
+					}
+					if gs >= rs-max(1e-6*rs, 1e-9) {
+						continue
+					}
+					losses++
+					if !weighted {
+						t.Errorf("case %d: score %.12g below reference %.12g (region %v, reference %v)",
+							i, gs, rs, got, ref)
+						failures++
+					}
+				}
+				t.Logf("%d wins, %d losses; score total %.9g of the reference's; evaluations per call: mean of maxima %.2f, max %d",
+					wins, losses, sumGot/sumRef, float64(sumEvals)/casesPer, maxEvals)
+				if weighted && (losses > casesPer/1000 || sumGot < sumRef*(1-1e-5)) {
+					t.Errorf("%d of %d regions score below the reference; score total %.9g of the reference's",
+						losses, casesPer, sumGot/sumRef)
+				}
+				if weighted && maxEvals > 44 {
+					t.Errorf("up to %d objective evaluations in one optimizeTheta call, want ≤ 44", maxEvals)
+				}
+				if !weighted && maxEvals >= maxSlopeEvals {
+					t.Errorf("up to %d objective evaluations in one optimizeTheta call, want < %d", maxEvals, maxSlopeEvals)
+				}
+			})
 		}
 	}
-	if maxEvals > 44 {
-		t.Fatalf("IrlpCircle made up to %d objective evaluations in one optimizeTheta call, want ≤ 44", maxEvals)
+}
+
+// Configurations the slope search got wrong while it was being written,
+// each checked against the golden-section reference.
+func TestThetaSearchHardCases(t *testing.T) {
+	type hardCase struct {
+		name    string
+		irlp    func(Objective) (Rect, int)
+		ref     func(refObjective) Rect
+		p       Point
+		cell    Rect
+		refWant float64 // the reference's score, pinned; 0 to skip
+	}
+	// Complement family above the circle (θY = 0): the score falls from θ = 0
+	// (0.7990 at 0, 0.7946 at 0.036) before rising to 0.9555 near θ = 0.48,
+	// so it is not unimodal.
+	c1 := Circle{Pt(0, 0), 0.6747}
+	p1, cell1 := Pt(0.4455, 0.6863), Rect{0.2, 0.5, 0.6747, 0.8177}
+	// Complement whose peak lies within a sliver of θY, where the slope is +∞.
+	c2 := Circle{Pt(-0.05653294547646154, 1.037733520139877), 0.35382213448649236}
+	p2 := Pt(0.2025537697809535, 0.6846707174217078)
+	cell2 := Rect{-0.1876929512557707, 0.21353987318032736, 0.4314152895084904, 0.8326481139445885}
+	// Ring whose best θ is the end where the slope points inward.
+	rg3 := Ring{Pt(0.16401182801072683, 0.36680168889213677), 0.6318462412028144, 0.7748665523937197}
+	p3 := Pt(0.9386332103845271, 0.36886015558905594)
+	cell3 := Rect{0.6930619283810386, 0.1414666329048505, 1.0494294547183252, 0.497834159242137}
+
+	for _, hc := range []hardCase{
+		{"non-unimodal complement",
+			func(o Objective) (Rect, int) { return irlpCircleComplement(c1, p1, cell1, o) },
+			func(o refObjective) Rect { return refIrlpCircleComplement(c1, p1, cell1, o) },
+			p1, cell1, 0},
+		{"complement peak in a sliver of θY",
+			func(o Objective) (Rect, int) { return irlpCircleComplement(c2, p2, cell2, o) },
+			func(o refObjective) Rect { return refIrlpCircleComplement(c2, p2, cell2, o) },
+			p2, cell2, 1.12431403553},
+		{"ring best at an inward-sloping end",
+			func(o Objective) (Rect, int) { return irlpRing(rg3, p3, cell3, o) },
+			func(o refObjective) Rect { return refIrlpRing(rg3, p3, cell3, o) },
+			p3, cell3, 0.14347076086},
+	} {
+		obj := ExitObjective(hc.p)
+		got, evals := hc.irlp(obj)
+		gs, rs := obj.Score(got), obj.Score(hc.ref(obj.Score))
+		if hc.refWant != 0 && math.Abs(rs-hc.refWant) > 1e-10 {
+			t.Errorf("%s: reference scores %.12g, want %.12g", hc.name, rs, hc.refWant)
+		}
+		if !got.Contains(hc.p) || !hc.cell.ContainsRect(got) {
+			t.Errorf("%s: region %v does not contain p %v inside cell %v", hc.name, got, hc.p, hc.cell)
+		}
+		if gs < rs-max(1e-6*rs, 1e-9) {
+			t.Errorf("%s: score %.12g below reference %.12g (region %v)", hc.name, gs, rs, got)
+		}
+		if evals >= maxSlopeEvals {
+			t.Errorf("%s: %d evaluations, want < %d", hc.name, evals, maxSlopeEvals)
+		}
+	}
+
+	// The first case's family peak itself: θ = 0 scores 0.7990, and the
+	// search must climb past the dip to the interior peak.
+	fam := family{kind: arc, q: c1.Center, r: c1.R, t: Pt(0.6747, 0.8177)}
+	thetaX := math.Asin(p1.X / c1.R)
+	theta, _ := slopeSearch(0, thetaX, fam, p1, math.Pi/4)
+	if f := MeanExitChord(fam.rect(theta), p1); f < 0.9555 || math.Abs(theta-0.48) > 0.01 {
+		t.Errorf("non-unimodal complement: θ %.4f scores %.4f, want the peak 0.9555 near θ 0.48", theta, f)
+	}
+
+	// A complement family clear of the circle on both axes (θ ∈ [0, π/2]):
+	// θ = π/2 beats the other probes and its slope points outward, yet a
+	// peak near θ = 1.0 scores 3 % more. Only the cubic interpolant between
+	// the π/4 and π/2 probes shows it.
+	fam = family{kind: arc, q: Pt(0.4659608988370386, 0.300315087890348), r: 0.6802102137660274,
+		t: Pt(1.530797776336558, 1.085318121852947)}
+	p4 := Pt(1.187968386484788, 0.9962832153644646)
+	theta, _ = slopeSearch(0, math.Pi/2, fam, p4, math.Pi/4)
+	ref, _ := refOptimizeTheta(0, math.Pi/2, fam.rect, func(r Rect) float64 { return MeanExitChord(r, p4) },
+		canonicalize(fam.q, p4), math.Pi/4)
+	if f, rs := MeanExitChord(fam.rect(theta), p4), MeanExitChord(ref, p4); f < 1.4355 || f < rs-1e-9*rs {
+		t.Errorf("hidden complement peak: θ %.4f scores %.6f, want the peak 1.4356 near θ 1.0 (reference %.6f)", theta, f, rs)
 	}
 }
 
@@ -326,7 +452,7 @@ func TestIrlpRectComplementStrips(t *testing.T) {
 		{Pt(0.5, 0.9), Rect{0, 0.6, 1, 1}}, // top strip
 	}
 	for _, c := range cases {
-		got := IrlpRectComplement(q, c.p, unitCell, Perimeter)
+		got := IrlpRectComplement(q, c.p, unitCell, ExitObjective(c.p))
 		if got != c.want {
 			t.Errorf("p=%v: got %v, want %v", c.p, got, c.want)
 		}
@@ -338,7 +464,7 @@ func TestIrlpRectComplementCornerPointPicksBest(t *testing.T) {
 	// wins. Query near the left edge → right strip is nearly the whole cell.
 	q := Rect{0, 0.4, 0.2, 0.6}
 	p := Pt(0.9, 0.9)
-	got := IrlpRectComplement(q, p, unitCell, Perimeter)
+	got := IrlpRectComplement(q, p, unitCell, ExitObjective(p))
 	if got != (Rect{0.2, 0, 1, 1}) {
 		t.Fatalf("got %v, want right strip", got)
 	}
@@ -346,7 +472,7 @@ func TestIrlpRectComplementCornerPointPicksBest(t *testing.T) {
 
 func TestIrlpRectComplementQueryOutsideCell(t *testing.T) {
 	q := Rect{2, 2, 3, 3}
-	got := IrlpRectComplement(q, Pt(0.5, 0.5), unitCell, Perimeter)
+	got := IrlpRectComplement(q, Pt(0.5, 0.5), unitCell, ExitObjective(Pt(0.5, 0.5)))
 	if got != unitCell {
 		t.Fatalf("got %v, want whole cell", got)
 	}
@@ -359,7 +485,7 @@ func TestIrlpRectComplementProperty(t *testing.T) {
 		if q.Contains(p) {
 			return true
 		}
-		got := IrlpRectComplement(q, p, unitCell, Perimeter)
+		got := IrlpRectComplement(q, p, unitCell, ExitObjective(p))
 		if !got.Contains(p) {
 			return false
 		}
@@ -377,9 +503,8 @@ func TestIrlpRectComplementProperty(t *testing.T) {
 func TestWeightedPerimeterAtCenterEqualsPlain(t *testing.T) {
 	r := Rect{0, 0, 0.4, 0.2}
 	p := r.Center()
-	obj := WeightedPerimeter(Pt(-1, 0.1), p, 0.5)
-	if math.Abs(obj(r)-r.Perimeter()) > 1e-9 {
-		t.Fatalf("weighted %v != plain %v at center", obj(r), r.Perimeter())
+	if got := WeightedPerimeter(r, Pt(-1, 0.1), p, 0.5); math.Abs(got-r.Perimeter()) > 1e-9 {
+		t.Fatalf("weighted %v != plain %v at center", got, r.Perimeter())
 	}
 }
 
@@ -388,21 +513,20 @@ func TestWeightedPerimeterFavorsForwardRegion(t *testing.T) {
 	// than the mirror region behind p.
 	p := Pt(0.5, 0.5)
 	plst := Pt(0.4, 0.5)
-	obj := WeightedPerimeter(plst, p, 0.8)
 	ahead := Rect{0.5, 0.45, 0.7, 0.55}
 	behind := Rect{0.3, 0.45, 0.5, 0.55}
-	if obj(ahead) <= obj(behind) {
-		t.Fatalf("ahead %v should beat behind %v", obj(ahead), obj(behind))
+	wa, wb := WeightedPerimeter(ahead, plst, p, 0.8), WeightedPerimeter(behind, plst, p, 0.8)
+	if wa <= wb {
+		t.Fatalf("ahead %v should beat behind %v", wa, wb)
 	}
-	if obj(ahead) <= ahead.Perimeter() {
+	if wa <= ahead.Perimeter() {
 		t.Fatalf("forward region should exceed plain perimeter")
 	}
 }
 
 func TestWeightedPerimeterZeroSteadiness(t *testing.T) {
-	obj := WeightedPerimeter(Pt(0, 0), Pt(0.1, 0), 0)
 	r := Rect{0, 0, 0.3, 0.1}
-	if obj(r) != r.Perimeter() {
+	if WeightedPerimeter(r, Pt(0, 0), Pt(0.1, 0), 0) != r.Perimeter() {
 		t.Fatalf("D=0 must reduce to plain perimeter")
 	}
 }
@@ -410,7 +534,7 @@ func TestWeightedPerimeterZeroSteadiness(t *testing.T) {
 func TestIrlpCircleWeightedStaysValid(t *testing.T) {
 	c := Circle{Pt(0.5, 0.5), 0.25}
 	p := Pt(0.55, 0.45)
-	obj := WeightedPerimeter(Pt(0.4, 0.45), p, 0.5)
+	obj := WeightedExitObjective(Pt(0.4, 0.45), p, 0.5)
 	got := IrlpCircle(c, p, Rect{-1, -1, 2, 2}, obj)
 	if !got.Contains(p) || !c.ContainsRect(got.Expand(-1e-9)) {
 		t.Fatalf("weighted Ir-lp invalid: %v", got)

@@ -105,7 +105,7 @@ func prepareStairs(obstacles []geom.Rect, p geom.Point, cell geom.Rect) ([4][]st
 // objectives such as the perimeter.
 func exhaustiveUnion(stairs [4][]staircasePoint, p geom.Point, cell geom.Rect, obj geom.Objective) geom.Rect {
 	best := geom.RectAround(p)
-	bestScore := obj(best)
+	bestScore := obj.Score(best)
 	for _, ne := range stairs[0] {
 		for _, se := range stairs[1] {
 			right := minf(ne.tx, se.tx)
@@ -118,7 +118,7 @@ func exhaustiveUnion(stairs [4][]staircasePoint, p geom.Point, cell geom.Rect, o
 						MaxX: p.X + right,
 						MaxY: p.Y + minf(ne.ty, nw.ty),
 					}
-					if s := obj(cand); s > bestScore {
+					if s := obj.Score(cand); s > bestScore {
 						best, bestScore = cand, s
 					}
 				}
@@ -165,7 +165,7 @@ func greedyUnion(stairs [4][]staircasePoint, p geom.Point, cell geom.Rect, obj g
 		for _, t := range stairs[qd] {
 			r, tp, l, b := apply(qd, t, right, top, left, bottom)
 			cand := geom.Rect{MinX: p.X - l, MinY: p.Y - b, MaxX: p.X + r, MaxY: p.Y + tp}
-			if s := obj(cand); s > bestScore {
+			if s := obj.Score(cand); s > bestScore {
 				bestScore, bestT = s, t
 			}
 		}

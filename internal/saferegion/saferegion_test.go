@@ -12,7 +12,7 @@ var cell = geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 
 func TestForRangeInsideQuery(t *testing.T) {
 	q := geom.R(0.2, 0.2, 0.6, 0.6)
-	got := ForRange(q, geom.Pt(0.3, 0.3), cell, geom.Perimeter)
+	got := ForRange(q, geom.Pt(0.3, 0.3), cell, geom.ExitObjective(geom.Pt(0.3, 0.3)))
 	if got != q {
 		t.Fatalf("inside: safe region must be the quarantine rect, got %v", got)
 	}
@@ -20,7 +20,7 @@ func TestForRangeInsideQuery(t *testing.T) {
 
 func TestForRangeInsideQueryClippedByCell(t *testing.T) {
 	q := geom.R(0.8, 0.8, 1.5, 1.5)
-	got := ForRange(q, geom.Pt(0.9, 0.9), cell, geom.Perimeter)
+	got := ForRange(q, geom.Pt(0.9, 0.9), cell, geom.ExitObjective(geom.Pt(0.9, 0.9)))
 	if got != geom.R(0.8, 0.8, 1, 1) {
 		t.Fatalf("clip: got %v", got)
 	}
@@ -28,14 +28,14 @@ func TestForRangeInsideQueryClippedByCell(t *testing.T) {
 
 func TestForRangeOutsideQuery(t *testing.T) {
 	q := geom.R(0.4, 0.4, 0.6, 0.6)
-	got := ForRange(q, geom.Pt(0.2, 0.5), cell, geom.Perimeter)
+	got := ForRange(q, geom.Pt(0.2, 0.5), cell, geom.ExitObjective(geom.Pt(0.2, 0.5)))
 	if got != (geom.Rect{MinX: 0, MinY: 0, MaxX: 0.4, MaxY: 1}) {
 		t.Fatalf("outside: got %v, want left strip", got)
 	}
 }
 
 func TestBatchNoObstacles(t *testing.T) {
-	got := ForRangeBatch(nil, geom.Pt(0.5, 0.5), cell, geom.Perimeter)
+	got := ForRangeBatch(nil, geom.Pt(0.5, 0.5), cell, geom.ExitObjective(geom.Pt(0.5, 0.5)))
 	if got != cell {
 		t.Fatalf("no obstacles: got %v, want cell", got)
 	}
@@ -46,17 +46,18 @@ func TestBatchSingleObstacleMatchesSingleQuery(t *testing.T) {
 	// as one of the four strips (it can equal the best strip).
 	q := geom.R(0.4, 0.4, 0.6, 0.6)
 	p := geom.Pt(0.2, 0.5)
-	single := ForRange(q, p, cell, geom.Perimeter)
-	batch := ForRangeBatch([]geom.Rect{q}, p, cell, geom.Perimeter)
+	obj := geom.ExitObjective(p)
+	single := ForRange(q, p, cell, obj)
+	batch := ForRangeBatch([]geom.Rect{q}, p, cell, obj)
 	if !batch.Contains(p) {
 		t.Fatalf("batch region %v does not contain p", batch)
 	}
 	if batch.Intersect(q).IsValid() && batch.Intersect(q).Area() > 1e-12 {
 		t.Fatalf("batch region %v overlaps obstacle", batch)
 	}
-	if batch.Perimeter() < single.Perimeter()-1e-9 {
-		t.Fatalf("batch %v (perim %v) worse than single strip %v (perim %v)",
-			batch, batch.Perimeter(), single, single.Perimeter())
+	if obj.Score(batch) < obj.Score(single)-1e-9 {
+		t.Fatalf("batch %v (score %v) worse than single strip %v (score %v)",
+			batch, obj.Score(batch), single, obj.Score(single))
 	}
 }
 
@@ -68,7 +69,7 @@ func TestBatchTwoObstaclesFigure55(t *testing.T) {
 		geom.R(0.5, 0.4, 0.7, 0.55),
 		geom.R(0.4, 0.6, 0.55, 0.8),
 	}
-	got := ForRangeBatch(obs, p, cell, geom.Perimeter)
+	got := ForRangeBatch(obs, p, cell, geom.ExitObjective(p))
 	if !got.Contains(p) {
 		t.Fatalf("region %v does not contain p", got)
 	}
@@ -90,7 +91,7 @@ func TestBatchObstacleTouchingP(t *testing.T) {
 	// axis but must stay valid and contain p.
 	p := geom.Pt(0.5, 0.5)
 	obs := []geom.Rect{geom.R(0.5, 0.4, 0.7, 0.6)} // p on its west edge
-	got := ForRangeBatch(obs, p, cell, geom.Perimeter)
+	got := ForRangeBatch(obs, p, cell, geom.ExitObjective(p))
 	if !got.Contains(p) || !got.IsValid() {
 		t.Fatalf("degenerate case: got %v", got)
 	}
@@ -116,7 +117,7 @@ func TestBatchProperty(t *testing.T) {
 			}
 			obs = append(obs, o)
 		}
-		got := ForRangeBatch(obs, p, cell, geom.Perimeter)
+		got := ForRangeBatch(obs, p, cell, geom.ExitObjective(p))
 		if !got.IsValid() || !got.Contains(p) {
 			return false
 		}
@@ -163,13 +164,14 @@ func TestBatchBeatsIntersectionOnAverage(t *testing.T) {
 			}
 			obs = append(obs, o)
 		}
+		obj := geom.ExitObjective(p)
 		inter := cell
 		for _, o := range obs {
-			inter = inter.Intersect(ForRange(o, p, cell, geom.Perimeter))
+			inter = inter.Intersect(ForRange(o, p, cell, obj))
 		}
-		batch := ForRangeBatch(obs, p, cell, geom.Perimeter)
+		batch := ForRangeBatch(obs, p, cell, obj)
 		total++
-		if batch.Perimeter() >= inter.Perimeter()-1e-9 {
+		if obj.Score(batch) >= obj.Score(inter)-1e-9 {
 			batchWins++
 		}
 	}
@@ -180,7 +182,7 @@ func TestBatchBeatsIntersectionOnAverage(t *testing.T) {
 
 func TestBatchPOutsideCellIsTolerated(t *testing.T) {
 	p := geom.Pt(1.2, 0.5)
-	got := ForRangeBatch([]geom.Rect{geom.R(0.4, 0.4, 0.6, 0.6)}, p, cell, geom.Perimeter)
+	got := ForRangeBatch([]geom.Rect{geom.R(0.4, 0.4, 0.6, 0.6)}, p, cell, geom.ExitObjective(p))
 	if !got.Contains(p) {
 		t.Fatalf("region %v must still contain p", got)
 	}
