@@ -57,9 +57,10 @@ race:
 	$(GO) test -race ./...
 
 # Self-checking build: every mutating Monitor operation asserts the full
-# invariant suite (srbdebug build tag).
+# invariant suite, the R*-tree's included (srbdebug build tag), across every
+# package's tests, so the differential and metamorphic suites run checked.
 debug:
-	$(GO) test -tags srbdebug ./internal/core/
+	$(GO) test -tags srbdebug ./...
 
 # End-to-end observability gate: build the real binaries, run a server with
 # metrics on, drive a client workload, scrape /metrics and /trace, and fail

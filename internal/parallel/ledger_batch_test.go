@@ -121,7 +121,7 @@ func registerBatchQuery(t *testing.T, m *core.Monitor, id query.ID, rng *rand.Ra
 // with a bit-identical ledger — fast-path applies book the same Unattributed
 // work a sequential primary update would.
 func TestLedgerBatchPathMirrorsCounters(t *testing.T) {
-	opt := core.Options{GridM: 12, MaxSpeed: 30}
+	opt := core.Options{Space: geom.R(0, 0, 100, 100), GridM: 12, MaxSpeed: 30}
 	seq := newBatchLedgerWorld(opt)
 	par := newBatchLedgerWorld(opt)
 	pipe := New(par.mon, 4)
@@ -238,7 +238,7 @@ func clampCoord(v float64) float64 {
 // that update's emit.
 func TestApplyEachCtxBeforeHook(t *testing.T) {
 	pos := map[uint64]geom.Point{}
-	mon := core.New(core.Options{GridM: 8}, core.ProberFunc(func(id uint64) geom.Point { return pos[id] }), nil)
+	mon := core.New(core.Options{Space: geom.R(0, 0, 100, 100), GridM: 8}, core.ProberFunc(func(id uint64) geom.Point { return pos[id] }), nil)
 	for i := 0; i < 8; i++ {
 		pos[uint64(i)] = geom.Pt(float64(i)*10, float64(i)*10)
 		mon.AddObject(uint64(i), pos[uint64(i)])

@@ -15,7 +15,7 @@ import (
 // Fast/Updates.
 func TestPipelineObs(t *testing.T) {
 	pos := map[uint64]geom.Point{}
-	mon := core.New(core.Options{GridM: 10}, core.ProberFunc(func(id uint64) geom.Point { return pos[id] }), nil)
+	mon := core.New(core.Options{Space: geom.R(0, 0, 100, 100), GridM: 10}, core.ProberFunc(func(id uint64) geom.Point { return pos[id] }), nil)
 	sink := obs.NewSink(obs.NewRegistry(), obs.NewTracer(1024))
 	mon.SetObs(sink)
 	pipe := New(mon, 2)

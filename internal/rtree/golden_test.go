@@ -15,25 +15,29 @@ import (
 // stream of Insert/Update/Delete calls: which entries share a node, in what
 // order, under which bounding rectangles (bit for bit). The stream mixes
 // point rectangles, identical rectangles, shared edges and ±0 coordinates,
-// the inputs on which a change to ChooseSubtree, the forced-reinsert order or
-// the split would first show. The constants were computed before any of those
-// were optimized; a change that moves them changes the tree, and with it the
-// order of search results and everything downstream.
+// the inputs on which a change to ChooseSubtree, the forced-reinsert order,
+// the split or Update's choice among its bottom-up moves would first show.
+// The constants were last replaced, on purpose, when Update gained the
+// sibling move and grow-in-place; optimizations that keep the tree's shape
+// must leave them alone. A change that moves them changes the tree, and with
+// it the order of search results, which the monitor must not depend on (the
+// tree-shape scenario in internal/parallel checks that it does not).
 func TestTreeShapeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		capacity int
 		want     uint64
 	}{
-		{4, 0xa9c2d9a77833c978},
-		{16, 0x8faa66008bfe4c70},
+		{4, 0x6370ebd0faf63e2f},
+		{16, 0x2af0b20f9eae47a9},
 	} {
 		got, tr := shapeStreamHash(tc.capacity, 60000)
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("capacity %d: %v", tc.capacity, err)
 		}
-		if splits, reinserts, fast, slow := tr.Stats(); splits == 0 || reinserts == 0 || fast == 0 || slow == 0 {
-			t.Fatalf("capacity %d: stream misses a write path: splits %d reinserts %d fast %d slow %d",
-				tc.capacity, splits, reinserts, fast, slow)
+		if splits, reinserts, fast, slow := tr.Stats(); splits == 0 || reinserts == 0 || fast == 0 || slow == 0 ||
+			tr.siblingMoves == 0 || tr.grownLeaves == 0 {
+			t.Fatalf("capacity %d: stream misses a write path: splits %d reinserts %d fast %d slow %d sibling moves %d grown leaves %d",
+				tc.capacity, splits, reinserts, fast, slow, tr.siblingMoves, tr.grownLeaves)
 		}
 		if got != tc.want {
 			t.Errorf("capacity %d: shape hash %#x, want %#x", tc.capacity, got, tc.want)

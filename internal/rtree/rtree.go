@@ -3,11 +3,21 @@
 // monitoring framework (Section 3.2 of the paper): leaf entries are the safe
 // regions (or exact positions) of moving objects, keyed by object ID.
 //
-// Because safe regions change on every location update, the tree supports the
-// bottom-up update technique of Lee et al. (VLDB 2003): a hash index from
-// object ID to its leaf makes in-place updates O(1) when the new rectangle
-// still fits the leaf's bounding box, falling back to a localized
-// delete+reinsert otherwise.
+// Because safe regions change on every location update, Update follows the
+// bottom-up technique of Lee et al. (VLDB 2003). A hash index from object ID
+// to its leaf finds the item without a descent, and Update tries, in order:
+//
+//  1. in place: the new rectangle fits the leaf's entry in its parent;
+//  2. sibling move: another leaf under the same parent has room and an entry
+//     that already contains the new rectangle, and the item's own leaf can
+//     spare it without underflowing;
+//  3. grow in place: the new rectangle fits the grandparent's entry for the
+//     leaf's parent, so the leaf may grow while no ancestor leaves its own
+//     bounds;
+//  4. otherwise a full Delete (with condense) and a top-down Insert.
+//
+// A sibling's entry lies inside the parent's rectangle, so step 2 must come
+// before step 3 or it could never run.
 package rtree
 
 import (
@@ -83,10 +93,14 @@ type Tree struct {
 	reinserted uint64
 
 	// Stats counters, useful for the CPU-cost experiments and ablations.
-	splits      int
-	reinserts   int
-	fastUpdates int
-	slowUpdates int
+	// fastUpdates counts every update that avoided Delete + Insert;
+	// siblingMoves and grownLeaves count the two local moves among them.
+	splits       int
+	reinserts    int
+	fastUpdates  int
+	slowUpdates  int
+	siblingMoves int
+	grownLeaves  int
 }
 
 // New returns an empty tree with the default node capacity.
@@ -123,7 +137,7 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 }
 
 // Stats reports internal counters: node splits, forced reinsertions, and how
-// many updates took the fast bottom-up path versus delete+reinsert.
+// many updates took one of the bottom-up moves versus delete+reinsert.
 func (t *Tree) Stats() (splits, reinserts, fastUpdates, slowUpdates int) {
 	return t.splits, t.reinserts, t.fastUpdates, t.slowUpdates
 }
@@ -146,61 +160,79 @@ func (t *Tree) Delete(id uint64) bool {
 	if !ok {
 		return false
 	}
-	idx := -1
-	for i := range leaf.entries {
-		if leaf.entries[i].child == nil && leaf.entries[i].item.ID == id {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		// The leaf map is maintained on every structural change; a miss here
-		// would be an invariant violation.
-		panic(fmt.Sprintf("rtree: leaf map points to node without item %d", id))
-	}
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
+	leaf.removeAt(leaf.itemIndex(id))
 	delete(t.leafOf, id)
 	t.size--
 	t.condense(leaf)
 	return true
 }
 
-// Update changes the rectangle of an existing item using the bottom-up path
-// when possible. Unknown IDs are inserted.
+// Update changes the rectangle of an existing item, trying the bottom-up
+// moves described in the package comment before delete+reinsert. Unknown IDs
+// are inserted.
 func (t *Tree) Update(id uint64, r geom.Rect) {
 	leaf, ok := t.leafOf[id]
 	if !ok {
 		t.Insert(id, r)
 		return
 	}
-	// Fast path: the new rectangle remains inside the leaf MBR as seen by the
-	// parent entry, so no ancestor rectangle needs to change structurally.
-	if p := leaf.parent; p != nil {
-		pe := p.entryOf(leaf)
-		if pe.rect.ContainsRect(r) {
-			for i := range leaf.entries {
-				if leaf.entries[i].child == nil && leaf.entries[i].item.ID == id {
-					leaf.entries[i].rect = r
-					leaf.entries[i].item.Rect = r
-					t.fastUpdates++
-					return
-				}
-			}
-		}
-	} else {
-		// Root is a leaf: just replace in place.
-		for i := range leaf.entries {
-			if leaf.entries[i].child == nil && leaf.entries[i].item.ID == id {
-				leaf.entries[i].rect = r
-				leaf.entries[i].item.Rect = r
-				t.fastUpdates++
-				return
-			}
-		}
+	i := leaf.itemIndex(id)
+	p := leaf.parent
+	// In place: the new rectangle stays inside the leaf's entry in its parent
+	// (or the leaf is the root), so no ancestor rectangle needs to change.
+	if p == nil || p.entryOf(leaf).rect.ContainsRect(r) {
+		leaf.entries[i].setRect(r)
+		t.fastUpdates++
+		return
+	}
+	// Sibling move: the sibling's entry already covers r, so only the source
+	// leaf's ancestors need their rectangles recomputed.
+	if sib := t.coveringSibling(leaf, r); sib != nil {
+		e := leaf.entries[i]
+		e.setRect(r)
+		leaf.removeAt(i)
+		sib.entries = append(sib.entries, e)
+		t.leafOf[id] = sib
+		t.adjustUpward(leaf)
+		t.fastUpdates++
+		t.siblingMoves++
+		return
+	}
+	// Grow in place: r fits the grandparent's entry for p, so the leaf grows
+	// but p's rectangle does not; adjustUpward recomputes every ancestor
+	// entry exactly.
+	if g := p.parent; g != nil && g.entryOf(p).rect.ContainsRect(r) {
+		leaf.entries[i].setRect(r)
+		t.adjustUpward(leaf)
+		t.fastUpdates++
+		t.grownLeaves++
+		return
 	}
 	t.slowUpdates++
 	t.Delete(id)
 	t.Insert(id, r)
+}
+
+// coveringSibling returns the smallest-area leaf (lowest index on a tie)
+// under leaf's parent, other than leaf, whose entry contains r and which has
+// room for one more item, or nil when there is none or leaf would underflow
+// by giving up an item.
+func (t *Tree) coveringSibling(leaf *Node, r geom.Rect) *Node {
+	if len(leaf.entries) <= t.min {
+		return nil
+	}
+	var best *Node
+	bestArea := math.Inf(1)
+	for i := range leaf.parent.entries {
+		e := &leaf.parent.entries[i]
+		if e.child == leaf || len(e.child.entries) >= t.max || !e.rect.ContainsRect(r) {
+			continue
+		}
+		if a := e.rect.Area(); a < bestArea {
+			best, bestArea = e.child, a
+		}
+	}
+	return best
 }
 
 // Get returns the stored rectangle for an ID.
@@ -209,12 +241,31 @@ func (t *Tree) Get(id uint64) (geom.Rect, bool) {
 	if !ok {
 		return geom.Rect{}, false
 	}
-	for i := range leaf.entries {
-		if leaf.entries[i].child == nil && leaf.entries[i].item.ID == id {
-			return leaf.entries[i].rect, true
+	return leaf.entries[leaf.itemIndex(id)].rect, true
+}
+
+// itemIndex returns the position of id's entry in the leaf n. The leaf map is
+// maintained on every structural change; a miss here would be an invariant
+// violation.
+func (n *Node) itemIndex(id uint64) int {
+	for i := range n.entries {
+		if n.entries[i].child == nil && n.entries[i].item.ID == id {
+			return i
 		}
 	}
-	return geom.Rect{}, false
+	panic(fmt.Sprintf("rtree: leaf map points to node without item %d", id))
+}
+
+// removeAt deletes the i-th entry in place, keeping the order of the rest.
+func (n *Node) removeAt(i int) {
+	copy(n.entries[i:], n.entries[i+1:])
+	n.entries = n.entries[:len(n.entries)-1]
+}
+
+// setRect replaces a leaf entry's rectangle, which the item also carries.
+func (e *entry) setRect(r geom.Rect) {
+	e.rect = r
+	e.item.Rect = r
 }
 
 // Search invokes fn for every item whose rectangle intersects q, stopping

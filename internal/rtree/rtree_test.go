@@ -437,9 +437,10 @@ func BenchmarkTreeInsert(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/insert")
 }
 
-// BenchmarkTreeUpdateSlowPath measures Update when the new rectangle leaves
-// its leaf's bounding box, so the bottom-up fast path cannot apply and the
-// item is deleted and reinserted.
+// BenchmarkTreeUpdateSlowPath measures Update when each item moves to a
+// rectangle drawn uniformly across the unit square. None of the bottom-up
+// moves can apply to almost any of them, so slow_share (the fraction that
+// fell back to Delete + Insert) stays near 1.
 func BenchmarkTreeUpdateSlowPath(b *testing.B) {
 	const n = 50000
 	rng := rand.New(rand.NewSource(22))
@@ -460,4 +461,56 @@ func BenchmarkTreeUpdateSlowPath(b *testing.B) {
 	b.StopTimer()
 	_, _, fast, slow := tr.Stats()
 	b.ReportMetric(float64(slow-slow0)/float64(fast-fast0+slow-slow0), "slow_share")
+}
+
+// BenchmarkTreeUpdateLocal measures Update on the monitor's move pattern: the
+// new rectangle contains a point on the old rectangle's edge, as a safe region
+// granted after an exit report contains the position reported from the edge
+// of the previous one. slow_share is the fraction that fell back to Delete +
+// Insert.
+func BenchmarkTreeUpdateLocal(b *testing.B) {
+	const n = 50000
+	rng := rand.New(rand.NewSource(23))
+	tr := New()
+	for i := 0; i < n; i++ {
+		tr.Insert(uint64(i), randRect(rng, 0.002))
+	}
+	_, _, fast0, slow0 := tr.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := uint64(rng.Intn(n))
+		old, _ := tr.Get(id)
+		tr.Update(id, edgeMove(rng, old, 0.0005))
+	}
+	b.StopTimer()
+	_, _, fast, slow := tr.Stats()
+	b.ReportMetric(float64(slow-slow0)/float64(fast-fast0+slow-slow0), "slow_share")
+}
+
+// edgeMove returns a rectangle that contains a point on old's boundary, the
+// way a safe region granted after an exit report contains the position the
+// client reported from the edge of its previous region. The point sits at a
+// corner, a quarter or the middle of a side, and the rectangle's width and
+// height are 0 to 4 times unit, so ties recur; a quarter of the results are
+// points.
+func edgeMove(rng *rand.Rand, old geom.Rect, unit float64) geom.Rect {
+	var p geom.Point
+	f := float64(rng.Intn(5)) / 4
+	switch rng.Intn(4) {
+	case 0:
+		p = geom.Pt(old.MinX+f*(old.MaxX-old.MinX), old.MinY)
+	case 1:
+		p = geom.Pt(old.MinX+f*(old.MaxX-old.MinX), old.MaxY)
+	case 2:
+		p = geom.Pt(old.MinX, old.MinY+f*(old.MaxY-old.MinY))
+	default:
+		p = geom.Pt(old.MaxX, old.MinY+f*(old.MaxY-old.MinY))
+	}
+	if rng.Intn(4) == 0 {
+		return geom.RectAround(p)
+	}
+	w, h := float64(rng.Intn(5))*unit, float64(rng.Intn(5))*unit
+	u, v := rng.Float64(), rng.Float64()
+	return geom.R(p.X-u*w, p.Y-v*h, p.X+(1-u)*w, p.Y+(1-v)*h)
 }
