@@ -175,6 +175,9 @@ func boxesAt(info *types.Info, sig *types.Signature, i int, arg ast.Expr, spread
 	default:
 		return false
 	}
+	if _, ok := pt.(*types.TypeParam); ok {
+		return false // instantiated with the argument's own type, no box
+	}
 	if _, ok := pt.Underlying().(*types.Interface); !ok {
 		return false
 	}

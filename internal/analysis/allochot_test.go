@@ -84,9 +84,12 @@ func root(n int, e error, xs []interface{}) {
 	sink(n)      // concrete-to-interface: boxes
 	sink(e)      // interface-to-interface: no box
 	variadic(xs...) // spread passes the slice through: no box
+	generic(n)      // type parameter: instantiated, no box
 }
 
 func variadic(vs ...interface{}) {}
+
+func generic[T any](v T) {}
 `)
 	diags := RunPackage(pkg, []*Analyzer{AllocHot})
 	if len(diags) != 1 || diags[0].Pos.Line != 7 || !strings.Contains(diags[0].Message, "iface-box") {

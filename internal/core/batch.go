@@ -133,10 +133,10 @@ func (m *Monitor) ApplyPlanned(pl *PlannedUpdate) ([]SafeRegionUpdate, bool) {
 	st.lastLoc = pl.loc
 	st.lastTime = m.now
 	st.safe = geom.RectAround(pl.loc)
-	m.index.Update(pl.id, st.safe)
+	m.tree.Update(pl.id, st.safe)
 	m.stats.SafeRegionsBuilt++
 	st.safe = pl.safe
-	m.index.Update(pl.id, st.safe)
+	m.tree.Update(pl.id, st.safe)
 	m.noteFastPath()
 	m.assertInvariants()
 	return []SafeRegionUpdate{{Object: pl.id, Region: st.safe}}, true

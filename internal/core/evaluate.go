@@ -1,8 +1,8 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -18,18 +18,18 @@ type pqItem struct {
 	seq   uint64 // last-resort tie-breaker: FIFO among otherwise-equal entries
 	node  *rtree.Node
 	id    uint64
-	shard int // owning ObjIndex shard of node/id (0 for a single tree)
 	isObj bool
 	exact bool
 	pt    geom.Point // valid when exact
 }
 
+// evalPQ is the best-first frontier: a binary min-heap over Less. The
+// Monitor keeps one and reuses its backing array for every search, which is
+// safe because searches never nest (probe and virtualProbe never search).
 type evalPQ struct {
 	items []pqItem
 	seq   uint64
 }
-
-func (p *evalPQ) Len() int { return len(p.items) }
 
 // Less orders the frontier canonically: key ascending; at equal key, nodes
 // expand before objects, and objects tie-break by ID. This makes the object
@@ -54,52 +54,103 @@ func (p *evalPQ) Less(i, j int) bool {
 	}
 	return a.seq < b.seq
 }
-func (p *evalPQ) Swap(i, j int)      { p.items[i], p.items[j] = p.items[j], p.items[i] }
-func (p *evalPQ) Push(x interface{}) { p.items = append(p.items, x.(pqItem)) }
-func (p *evalPQ) Pop() interface{} {
-	old := p.items
-	n := len(old)
-	it := old[n-1]
-	p.items = old[:n-1]
-	return it
-}
 
+// push adds an entry, stamping it with the next sequence number. seq is
+// unique within a search, so Less is a strict total order and every correct
+// heap pops the same sequence.
 func (p *evalPQ) push(it pqItem) {
 	it.seq = p.seq
 	p.seq++
-	heap.Push(p, it)
+	p.items = append(p.items, it)
+	for i := len(p.items) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !p.Less(i, parent) {
+			break
+		}
+		p.items[i], p.items[parent] = p.items[parent], p.items[i]
+		i = parent
+	}
 }
 
-func (p *evalPQ) pop() pqItem { return heap.Pop(p).(pqItem) }
+// pop removes and returns the least entry.
+func (p *evalPQ) pop() pqItem {
+	top := p.items[0]
+	n := len(p.items) - 1
+	p.items[0] = p.items[n]
+	p.items = p.items[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && p.Less(r, j) {
+			j = r
+		}
+		if !p.Less(j, i) {
+			break
+		}
+		p.items[i], p.items[j] = p.items[j], p.items[i]
+		i = j
+	}
+	return top
+}
 
-// newExpander returns the node-expansion closure for one best-first search:
-// it expands an index node through ObjIndex.Visit, pushing children and
-// non-excluded leaf objects onto pq with keys relative to qp. One closure is
-// allocated per search and reused for every expansion.
-func (m *Monitor) newExpander(pq *evalPQ, qp geom.Point, exclude map[uint64]bool) func(pqItem) {
-	var cur pqItem
-	visit := func(child *rtree.Node, childRect geom.Rect, it rtree.Item, isItem bool) {
-		if isItem {
-			if exclude[it.ID] {
-				return
-			}
-			if _, probed := m.probedNow[it.ID]; probed {
-				return // seeded exactly by seedSearch; the indexed rect is stale
-			}
-			lo, _ := m.bounds(qp, it.ID)
-			pq.push(pqItem{key: lo, id: it.ID, isObj: true, shard: cur.shard})
-		} else {
-			pq.push(pqItem{key: childRect.MinDist(qp), node: child, shard: cur.shard})
+// expand pushes the entries of index node n onto pq with keys relative to
+// qp: child nodes by their bounding rect's MinDist, leaf objects by the
+// MinDist of their indexed rect, which mirrors the object's safe region
+// exactly (every safe-region write updates the tree). Excluded objects are
+// skipped, and so are objects probed in this operation: seedSearch seeds
+// those exactly, since their indexed rect is stale. m.seeded lists them;
+// an object probed after seeding was popped from the frontier first, so its
+// leaf entry has already been expanded and cannot come up again.
+func (m *Monitor) expand(pq *evalPQ, qp geom.Point, exclude []uint64, n *rtree.Node) {
+	if !n.IsLeaf() {
+		for i := 0; i < n.Count(); i++ {
+			pq.push(pqItem{key: n.RectAt(i).MinDist(qp), node: n.ChildAt(i)})
+		}
+		return
+	}
+	for i := 0; i < n.Count(); i++ {
+		it := n.ItemAt(i)
+		if containsID(exclude, it.ID) {
+			continue
+		}
+		if _, probed := slices.BinarySearch(m.seeded, it.ID); probed {
+			continue
+		}
+		if debugInvariants {
+			m.assertIndexed(it)
+		}
+		pq.push(pqItem{key: it.Rect.MinDist(qp), id: it.ID, isObj: true})
+	}
+}
+
+// assertIndexed panics unless a leaf entry's rect is its object's safe
+// region bit-for-bit, the premise of expand's keys (srbdebug builds).
+//
+//srb:coldpath
+func (m *Monitor) assertIndexed(it rtree.Item) {
+	st := m.objects[it.ID]
+	//lint:allow floatcmp identity check: the tree must mirror st.safe bit-for-bit
+	if st == nil || st.safe != it.Rect {
+		panic(fmt.Sprintf("srbdebug: leaf entry of object %d has rect %v, not its safe region", it.ID, it.Rect))
+	}
+}
+
+// containsID reports whether id is in ids (a kNN result list: k is small,
+// so a linear scan beats a set).
+func containsID(ids []uint64, id uint64) bool {
+	for _, x := range ids {
+		if x == id {
+			return true
 		}
 	}
-	return func(u pqItem) {
-		cur = u
-		m.index.Visit(u.shard, u.node, visit)
-	}
+	return false
 }
 
-// seedSearch primes a best-first frontier: one zero-key entry per index root,
-// plus every object already probed in this operation as an exact point item.
+// seedSearch resets the monitor's frontier and primes it: one zero-key entry
+// for the index root, plus every object already probed in this operation as
+// an exact point item.
 // Probed objects must bypass tree discovery entirely: their authoritative
 // representation is the probe point, but their indexed rect is still the
 // pre-probe safe region (the index is only refreshed when the op finishes),
@@ -108,17 +159,22 @@ func (m *Monitor) newExpander(pq *evalPQ, qp geom.Point, exclude map[uint64]bool
 // would depend on how the index groups objects, breaking tree-shape
 // independence. Seeded up front with exact keys, the remaining tree search is
 // admissible for every object it can still discover.
-func (m *Monitor) seedSearch(pq *evalPQ, qp geom.Point, exclude map[uint64]bool) {
-	m.index.Seeds(func(shard int, root *rtree.Node) {
-		pq.push(pqItem{key: 0, node: root, shard: shard})
-	})
-	for _, pid := range m.sortedProbedIDs() {
-		if exclude[pid] {
+func (m *Monitor) seedSearch(qp geom.Point, exclude []uint64) *evalPQ {
+	pq := &m.pq
+	pq.items = pq.items[:0]
+	pq.seq = 0
+	if m.tree.Len() > 0 {
+		pq.push(pqItem{key: 0, node: m.tree.Root()})
+	}
+	m.seeded = m.appendProbedIDs(m.seeded[:0])
+	for _, pid := range m.seeded {
+		if containsID(exclude, pid) {
 			continue
 		}
 		p := m.probedNow[pid]
 		pq.push(pqItem{key: qp.Dist(p), id: pid, isObj: true, exact: true, pt: p})
 	}
+	return pq
 }
 
 // frontierObjectKey expands queued nodes until the queue front is an object
@@ -128,12 +184,12 @@ func (m *Monitor) seedSearch(pq *evalPQ, qp geom.Point, exclude map[uint64]bool)
 // it for the next-element bound behind the quarantine radius, and the
 // order-insensitive variant for its displacement test. Returns false when no
 // objects remain.
-func (m *Monitor) frontierObjectKey(pq *evalPQ, expand func(pqItem)) (float64, bool) {
-	for pq.Len() > 0 {
+func (m *Monitor) frontierObjectKey(pq *evalPQ, qp geom.Point, exclude []uint64) (float64, bool) {
+	for len(pq.items) > 0 {
 		if pq.items[0].isObj {
 			return pq.items[0].key, true
 		}
-		expand(pq.pop())
+		m.expand(pq, qp, exclude, pq.pop().node)
 	}
 	return 0, false
 }
@@ -335,7 +391,7 @@ func (m *Monitor) refreshProbedAgainst(q *query.Query) []SafeRegionUpdate {
 		cell := m.grid.NeighborhoodRect(loc, m.opt.CellNeighborhood)
 		srQ := m.safeRegionForQuery(q, st, cell)
 		st.safe = clampSafe(st.safe.Intersect(srQ), loc)
-		m.index.Update(pid, st.safe)
+		m.tree.Update(pid, st.safe)
 		out = append(out, SafeRegionUpdate{Object: pid, Region: st.safe, Probed: true})
 	}
 	out = append(out, m.flushShrunk(nil)...)
@@ -389,7 +445,11 @@ func (m *Monitor) evalRange(q *query.Query) []uint64 {
 // different shape visit in different orders, and both collapse to the same
 // sequence here.
 func (m *Monitor) rangeCandidates(r geom.Rect) []rtree.Item {
-	items := m.index.Collect(r, nil)
+	var items []rtree.Item
+	m.tree.Search(r, func(it rtree.Item) bool {
+		items = append(items, it)
+		return true
+	})
 	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
 	return items
 }
@@ -439,38 +499,27 @@ func (m *Monitor) quarantineRadius(maxK, nextMin float64) float64 {
 //
 // It returns the ordered result IDs, the maximum distance bound of the k-th
 // result, and the minimum distance of the next queue element (noNextElement
-// when the queue ran dry).
-func (m *Monitor) knnOrderSensitive(qp geom.Point, k int, exclude map[uint64]bool) ([]uint64, float64, float64) {
-	pq := &evalPQ{}
-	expand := m.newExpander(pq, qp, exclude)
-	m.seedSearch(pq, qp, exclude)
+// when the queue ran dry). The result slice is the search's only allocation.
+func (m *Monitor) knnOrderSensitive(qp geom.Point, k int, exclude []uint64) ([]uint64, float64, float64) {
+	pq := m.seedSearch(qp, exclude)
 	var results []uint64
-	var lastMax float64 // Δ bound of the last appended result
-	var held *pqItem
-
-	appendResult := func(it pqItem) {
-		results = append(results, it.id)
-		_, hi := m.itemBounds(qp, it)
-		lastMax = hi
+	if n := min(k, m.tree.Len()); n > 0 {
+		results = make([]uint64, 0, n)
 	}
+	var lastMax float64 // Δ bound of the last appended result
+	var heldItem pqItem
+	var held *pqItem // &heldItem while an unresolved object is held
 
-	for len(results) < k && (pq.Len() > 0 || held != nil) {
-		if pq.Len() == 0 {
-			// Queue exhausted with one object still held: it is the last
-			// candidate, so it completes the result.
-			appendResult(*held)
-			held = nil
-			break
-		}
+	for len(results) < k && len(pq.items) > 0 {
 		u := pq.pop()
 		if !u.isObj {
-			expand(u)
+			m.expand(pq, qp, exclude, u.node)
 			continue
 		}
 		if held != nil {
 			_, heldMax := m.itemBounds(qp, *held)
 			if heldMax <= u.key {
-				appendResult(*held)
+				results, lastMax = m.appendResult(results, qp, *held)
 				held = nil
 				if len(results) == k {
 					pq.push(u) // put u back for the radius computation
@@ -500,7 +549,7 @@ func (m *Monitor) knnOrderSensitive(qp geom.Point, k int, exclude map[uint64]boo
 				continue
 			}
 		}
-		if !u.exact && !m.isExact(u.id) && m.opt.EagerProbes {
+		if m.opt.EagerProbes && !u.exact && !m.isExact(u.id) {
 			// Ablation: probe immediately rather than holding lazily.
 			p := m.probe(u.id)
 			u = pqItem{key: qp.Dist(p), id: u.id, isObj: true, exact: true, pt: p}
@@ -508,49 +557,48 @@ func (m *Monitor) knnOrderSensitive(qp geom.Point, k int, exclude map[uint64]boo
 			continue
 		}
 		if u.exact || m.isExact(u.id) {
-			appendResult(u)
+			results, lastMax = m.appendResult(results, qp, u)
 		} else {
-			held = &u
+			heldItem = u
+			held = &heldItem
 		}
 	}
 	if held != nil && len(results) < k {
-		appendResult(*held)
+		// Queue exhausted with one object still held: it is the last
+		// candidate, so it completes the result.
+		results, lastMax = m.appendResult(results, qp, *held)
 	}
 	nextMin := noNextElement
-	if fk, ok := m.frontierObjectKey(pq, expand); ok {
+	if fk, ok := m.frontierObjectKey(pq, qp, exclude); ok {
 		nextMin = fk
 	}
 	return results, lastMax, nextMin
 }
 
+// appendResult appends a resolved item's ID to results and returns the
+// extended slice with the item's Δ bound.
+func (m *Monitor) appendResult(results []uint64, qp geom.Point, it pqItem) ([]uint64, float64) {
+	_, hi := m.itemBounds(qp, it)
+	return append(results, it.id), hi
+}
+
 // knnOrderInsensitive evaluates a set-semantics kNN query: up to k objects
 // are held simultaneously, and a probe is issued only when the queue front
 // could displace the worst held candidate (Section 4.2's order-insensitive
-// variant, which needs fewer probes).
-func (m *Monitor) knnOrderInsensitive(qp geom.Point, k int, exclude map[uint64]bool) ([]uint64, float64, float64) {
-	pq := &evalPQ{}
-	expand := m.newExpander(pq, qp, exclude)
-	m.seedSearch(pq, qp, exclude)
-	var held []pqItem
-
-	worstHeld := func() (int, float64) {
-		wi, wv := -1, -1.0
-		for i := range held {
-			if _, hi := m.itemBounds(qp, held[i]); hi > wv {
-				wi, wv = i, hi
-			}
-		}
-		return wi, wv
-	}
+// variant, which needs fewer probes). The held set lives in a scratch slice
+// on the monitor; the returned ID slice is the search's only allocation.
+func (m *Monitor) knnOrderInsensitive(qp geom.Point, k int, exclude []uint64) ([]uint64, float64, float64) {
+	pq := m.seedSearch(qp, exclude)
+	held := m.held[:0]
 
 	for {
 		if len(held) == k {
 			// Expand nodes until the queue front is an object: the break test
 			// must compare against an object's δ, not a node's MinDist, or
-			// the decision would depend on tree shape (a forest's shallow
-			// trees surface objects earlier than one deep tree).
-			topKey, ok := m.frontierObjectKey(pq, expand)
-			wi, wv := worstHeld()
+			// the decision would depend on tree shape (a LoadSnapshot or
+			// ReplayJournal rebuild groups objects differently).
+			topKey, ok := m.frontierObjectKey(pq, qp, exclude)
+			wi, wv := m.worstHeld(qp, held)
 			if !ok || wv <= topKey {
 				break // all held are certainly among the k nearest
 			}
@@ -573,16 +621,17 @@ func (m *Monitor) knnOrderInsensitive(qp geom.Point, k int, exclude map[uint64]b
 			w.key, _ = m.itemBounds(qp, w)
 			pq.push(w)
 		}
-		if pq.Len() == 0 {
+		if len(pq.items) == 0 {
 			break
 		}
 		u := pq.pop()
 		if !u.isObj {
-			expand(u)
+			m.expand(pq, qp, exclude, u.node)
 			continue
 		}
 		held = append(held, u)
 	}
+	m.held = held[:0]
 
 	ids := make([]uint64, 0, len(held))
 	maxK := 0.0
@@ -593,10 +642,22 @@ func (m *Monitor) knnOrderInsensitive(qp geom.Point, k int, exclude map[uint64]b
 		}
 	}
 	nextMin := noNextElement
-	if fk, ok := m.frontierObjectKey(pq, expand); ok {
+	if fk, ok := m.frontierObjectKey(pq, qp, exclude); ok {
 		nextMin = fk
 	}
 	return ids, maxK, nextMin
+}
+
+// worstHeld returns the index and Δ bound of the held candidate with the
+// largest maximum distance (-1, -1 when none is held).
+func (m *Monitor) worstHeld(qp geom.Point, held []pqItem) (int, float64) {
+	wi, wv := -1, -1.0
+	for i := range held {
+		if _, hi := m.itemBounds(qp, held[i]); hi > wv {
+			wi, wv = i, hi
+		}
+	}
+	return wi, wv
 }
 
 // itemBounds returns [δ, Δ] for a queue item, using the exact point when the
@@ -609,11 +670,11 @@ func (m *Monitor) itemBounds(qp geom.Point, it pqItem) (float64, float64) {
 	return m.bounds(qp, it.id)
 }
 
-// constrained1NN finds the nearest object excluding the given set, returning
-// the winner, the maximum-distance bound of the winner, the minimum distance
-// of the runner-up (noNextElement when none), and whether a winner exists.
+// constrained1NN finds the nearest object outside exclude, returning the
+// winner, the maximum-distance bound of the winner, the minimum distance of
+// the runner-up (noNextElement when none), and whether a winner exists.
 // Used by reevaluation case 1 to find a replacement k-th NN.
-func (m *Monitor) constrained1NN(qp geom.Point, exclude map[uint64]bool) (uint64, float64, float64, bool) {
+func (m *Monitor) constrained1NN(qp geom.Point, exclude []uint64) (uint64, float64, float64, bool) {
 	ids, maxK, nextMin := m.knnOrderSensitive(qp, 1, exclude)
 	if len(ids) == 0 {
 		return 0, 0, 0, false

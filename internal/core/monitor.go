@@ -15,6 +15,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 	"srb/internal/gridindex"
 	"srb/internal/obs"
 	"srb/internal/query"
+	"srb/internal/rtree"
 )
 
 // Prober supplies the exact current location of an object on a
@@ -132,7 +134,10 @@ type objectState struct {
 type Monitor struct {
 	opt     Options
 	objects map[uint64]*objectState
-	index   ObjIndex
+	// tree is the R*-tree over safe regions. Its shape depends on insertion
+	// history (LoadSnapshot and ReplayJournal rebuild a differently shaped
+	// one), so nothing observable may depend on it: DESIGN.md §14.
+	tree    *rtree.Tree
 	grid    *gridindex.Grid
 	queries map[query.ID]*query.Query
 	// resultOf is the reverse result index: for each object, the queries it
@@ -158,6 +163,12 @@ type Monitor struct {
 	// shrunken regions must be pushed to the clients at the end of the
 	// operation so the update protocol stays exact.
 	shrunkNow map[uint64]bool
+
+	// pq, held and seeded are the best-first search's scratch (evaluate.go),
+	// reused by every kNN search so that searching allocates only its result.
+	pq     evalPQ
+	held   []pqItem
+	seeded []uint64
 
 	// mobs holds the bound observability instruments (obs.go); nil when
 	// uninstrumented, which keeps every hook to a single branch.
@@ -189,7 +200,7 @@ func New(opt Options, prober Prober, onUpdate func(ResultUpdate)) *Monitor {
 	return &Monitor{
 		opt:        opt,
 		objects:    make(map[uint64]*objectState),
-		index:      newLocalIndex(opt.TreeCapacity),
+		tree:       rtree.NewWithCapacity(opt.TreeCapacity),
 		grid:       gridindex.New(opt.GridM, opt.Space),
 		queries:    make(map[query.ID]*query.Query),
 		resultOf:   make(map[uint64]map[query.ID]bool),
@@ -275,7 +286,7 @@ func (m *Monitor) AddObject(id uint64, p geom.Point) []SafeRegionUpdate {
 	st := &objectState{id: id, lastLoc: p, prevLoc: p, lastTime: m.now}
 	m.objects[id] = st
 	st.safe = geom.RectAround(p)
-	m.index.Insert(id, st.safe)
+	m.tree.Insert(id, st.safe)
 	// A new object can change results of queries whose quarantine contains p.
 	m.beginOp()
 	for _, q := range m.grid.At(p) {
@@ -304,7 +315,7 @@ func (m *Monitor) RemoveObject(id uint64) []SafeRegionUpdate {
 		t0, before = m.obsStart()
 	}
 	m.beginOp()
-	m.index.Delete(id)
+	m.tree.Delete(id)
 	delete(m.objects, id)
 	for _, qid := range m.sortedQueryIDs() {
 		q := m.queries[qid]
@@ -348,12 +359,18 @@ func (m *Monitor) sortedQueryIDs() []query.ID {
 }
 
 func (m *Monitor) sortedProbedIDs() []uint64 {
-	ids := make([]uint64, 0, len(m.probedNow))
+	return m.appendProbedIDs(make([]uint64, 0, len(m.probedNow)))
+}
+
+// appendProbedIDs appends the IDs probed in this operation to dst in
+// ascending order.
+func (m *Monitor) appendProbedIDs(dst []uint64) []uint64 {
+	n := len(dst)
 	for id := range m.probedNow {
-		ids = append(ids, id)
+		dst = append(dst, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // beginOp resets per-operation probe bookkeeping.
@@ -570,7 +587,7 @@ func (m *Monitor) virtualProbe(id uint64) bool {
 	}
 	shr := st.safe.Intersect(rb)
 	st.safe = clampSafe(shr, st.lastLoc)
-	m.index.Update(id, st.safe)
+	m.tree.Update(id, st.safe)
 	m.shrunkNow[id] = true
 	m.stats.VirtualProbes++
 	m.noteShrink(id)
@@ -659,14 +676,14 @@ func (m *Monitor) setResults(q *query.Query, ids []uint64) {
 // violated. Intended for tests and the srbdebug build, which asserts it
 // after every mutating operation.
 func (m *Monitor) CheckInvariants() error {
-	if err := m.index.CheckInvariants(); err != nil {
+	if err := m.tree.CheckInvariants(); err != nil {
 		return err
 	}
 	if err := m.grid.CheckInvariants(); err != nil {
 		return err
 	}
-	if m.index.Len() != len(m.objects) {
-		return fmt.Errorf("tree has %d items, %d objects registered", m.index.Len(), len(m.objects))
+	if m.tree.Len() != len(m.objects) {
+		return fmt.Errorf("tree has %d items, %d objects registered", m.tree.Len(), len(m.objects))
 	}
 	if m.grid.Len() != len(m.queries) {
 		return fmt.Errorf("grid indexes %d queries, %d registered", m.grid.Len(), len(m.queries))
@@ -676,7 +693,7 @@ func (m *Monitor) CheckInvariants() error {
 			len(m.probedNow), len(m.probedFrom), len(m.shrunkNow))
 	}
 	for id, st := range m.objects {
-		r, ok := m.index.Get(id)
+		r, ok := m.tree.Get(id)
 		if !ok {
 			return fmt.Errorf("object %d missing from tree", id)
 		}

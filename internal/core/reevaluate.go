@@ -43,7 +43,7 @@ func (m *Monitor) Update(id uint64, p geom.Point) []SafeRegionUpdate {
 	// mis-prune best-first searches.
 	m.probedNow[id] = p
 	st.safe = geom.RectAround(p)
-	m.index.Update(id, st.safe)
+	m.tree.Update(id, st.safe)
 	processed := make(map[query.ID]bool)
 	for _, q := range m.grid.Affected(pLst, p) {
 		processed[q.ID] = true
@@ -272,11 +272,7 @@ func (m *Monitor) insertIntoOrder(q *query.Query, st *objectState) {
 // (the departed object itself stays a candidate), then a fresh quarantine
 // radius from the search's frontier.
 func (m *Monitor) refillKNN(q *query.Query) {
-	exclude := make(map[uint64]bool, len(q.Results))
-	for _, id := range q.Results {
-		exclude[id] = true
-	}
-	winner, maxK, nextMin, ok := m.constrained1NN(q.Point, exclude)
+	winner, maxK, nextMin, ok := m.constrained1NN(q.Point, q.Results)
 	if ok {
 		m.appendResultID(q, winner, -1)
 		q.QRadius = m.quarantineRadius(maxK, nextMin)

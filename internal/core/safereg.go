@@ -86,7 +86,7 @@ func (m *Monitor) recomputeSafeRegion(st *objectState) {
 	}
 	relevant, cell := m.relevantQueriesAt(st.lastLoc)
 	st.safe = clampSafe(m.safeRegionFromRelevant(st, relevant, cell), st.lastLoc)
-	m.index.Update(st.id, st.safe)
+	m.tree.Update(st.id, st.safe)
 }
 
 // safeRegionForQuery computes the safe region p.sr_Q induced by a single

@@ -89,7 +89,7 @@ func (m *Monitor) LoadSnapshot(r io.Reader) error {
 			safe: clampSafe(o.Safe, o.LastLoc),
 		}
 		m.objects[o.ID] = st
-		m.index.Insert(o.ID, st.safe)
+		m.tree.Insert(o.ID, st.safe)
 	}
 	for _, qs := range snap.Queries {
 		var q *query.Query
