@@ -80,14 +80,15 @@ docs:
 	$(GO) vet ./...
 
 # Short fuzz runs of the geometry and R*-tree oracles, the kNN search
-# reference, the journal replay decoder and the lint CFG builder; enough to catch regressions without
-# holding up the gate.
+# reference, the journal replay and snapshot decoders and the lint CFG
+# builder; enough to catch regressions without holding up the gate.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzIrlpCircle$$ -fuzztime=10s ./internal/geom/
 	$(GO) test -fuzz=FuzzIrlpCircleComplement -fuzztime=10s ./internal/geom/
 	$(GO) test -fuzz=FuzzIrlpRing -fuzztime=10s ./internal/geom/
 	$(GO) test -fuzz=FuzzTreeOps -fuzztime=10s ./internal/rtree/
 	$(GO) test -fuzz=FuzzReplayJournal -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzKNNSearch -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzCFG -fuzztime=10s ./internal/analysis/
 	$(GO) test -fuzz=FuzzProtoDriftExtract -fuzztime=10s ./internal/analysis/

@@ -276,6 +276,7 @@ func BenchmarkAblationBottomUpUpdate(b *testing.B) {
 			rects[i] = geom.R(x, y, x+0.01, y+0.01)
 			tr.Insert(uint64(i), rects[i])
 		}
+		tr.Root() // place the buffered items, so updates meet the tree
 		return tr, rects
 	}
 	b.Run("bottom-up", func(b *testing.B) {
@@ -308,6 +309,7 @@ func BenchmarkRTreeSearch(b *testing.B) {
 		x, y := rng.Float64(), rng.Float64()
 		tr.Insert(uint64(i), geom.R(x, y, x+0.005, y+0.005))
 	}
+	tr.Root()
 	q := geom.R(0.4, 0.4, 0.45, 0.45)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -323,6 +325,7 @@ func BenchmarkRTreeKNearest(b *testing.B) {
 		x, y := rng.Float64(), rng.Float64()
 		tr.Insert(uint64(i), geom.R(x, y, x+0.002, y+0.002))
 	}
+	tr.Root()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.KNearest(geom.Pt(rng.Float64(), rng.Float64()), 10)
@@ -430,8 +433,10 @@ func BenchmarkMonitorUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkBulkLoadVsInsert compares STR bulk loading against repeated
-// insertion for initial population (relevant at the paper's N=100k scale).
+// BenchmarkBulkLoadVsInsert compares initial population (relevant at the
+// paper's N=100k scale) into an empty tree, which buffers the inserts and
+// STR-packs them at the first read, against the same inserts into a tree
+// whose first item is already placed, which takes the R* insert path.
 func BenchmarkBulkLoadVsInsert(b *testing.B) {
 	const n = 20000
 	rng := rand.New(rand.NewSource(7))
@@ -442,14 +447,21 @@ func BenchmarkBulkLoadVsInsert(b *testing.B) {
 	}
 	b.Run("bulk-load", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rtree.BulkLoad(items)
+			tr := rtree.New()
+			for _, it := range items {
+				tr.Insert(it.ID, it.Rect)
+			}
+			tr.Root()
 		}
 	})
 	b.Run("insert", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tr := rtree.New()
-			for _, it := range items {
+			for j, it := range items {
 				tr.Insert(it.ID, it.Rect)
+				if j == 0 {
+					tr.Root()
+				}
 			}
 		}
 	})

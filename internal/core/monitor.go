@@ -135,8 +135,9 @@ type Monitor struct {
 	opt     Options
 	objects map[uint64]*objectState
 	// tree is the R*-tree over safe regions. Its shape depends on insertion
-	// history (LoadSnapshot and ReplayJournal rebuild a differently shaped
-	// one), so nothing observable may depend on it: DESIGN.md §14.
+	// history (a population added before the first query is STR-packed, and
+	// LoadSnapshot and ReplayJournal rebuild a differently shaped one), so
+	// nothing observable may depend on it: DESIGN.md §14.
 	tree    *rtree.Tree
 	grid    *gridindex.Grid
 	queries map[query.ID]*query.Query

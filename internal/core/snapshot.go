@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"srb/internal/geom"
@@ -84,6 +85,12 @@ func (m *Monitor) LoadSnapshot(r io.Reader) error {
 	m.now = snap.Now
 	m.stats = snap.Stats
 	for _, o := range snap.Objects {
+		if _, dup := m.objects[o.ID]; dup {
+			return fmt.Errorf("core: snapshot lists object %d twice", o.ID)
+		}
+		if !finite(o.LastLoc.X) || !finite(o.LastLoc.Y) {
+			return fmt.Errorf("core: snapshot object %d has non-finite location %v", o.ID, o.LastLoc)
+		}
 		st := &objectState{
 			id: o.ID, lastLoc: o.LastLoc, prevLoc: o.PrevLoc, lastTime: o.LastTime,
 			safe: clampSafe(o.Safe, o.LastLoc),
@@ -92,6 +99,9 @@ func (m *Monitor) LoadSnapshot(r io.Reader) error {
 		m.tree.Insert(o.ID, st.safe)
 	}
 	for _, qs := range snap.Queries {
+		if _, dup := m.queries[qs.ID]; dup {
+			return fmt.Errorf("core: snapshot lists query %d twice", qs.ID)
+		}
 		var q *query.Query
 		switch {
 		case qs.Kind == query.KindRange && qs.Aggregate:
@@ -124,6 +134,9 @@ func (m *Monitor) LoadSnapshot(r io.Reader) error {
 	m.assertInvariants()
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func (m *Monitor) sortedObjectIDs() []uint64 {
 	ids := make([]uint64, 0, len(m.objects))

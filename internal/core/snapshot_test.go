@@ -138,3 +138,81 @@ func TestSnapshotEmptyMonitor(t *testing.T) {
 		t.Fatal("empty snapshot should restore empty")
 	}
 }
+
+// FuzzLoadSnapshot feeds arbitrary bytes to LoadSnapshot, whose R*-tree is
+// built through the packed path: hostile input must return an error and
+// never panic. An accepted snapshot must save again, and that save must
+// reload and save to the same bytes. The valid seed must come back byte for
+// byte.
+func FuzzLoadSnapshot(f *testing.F) {
+	valid := snapshotSeed(f)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:len(valid)-7])
+	f.Add([]byte("not a snapshot"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		saved, err := reloadSnapshot(t, data)
+		if err != nil {
+			return
+		}
+		again, err := reloadSnapshot(t, saved)
+		if err != nil {
+			t.Fatalf("a re-saved snapshot does not load: %v", err)
+		}
+		if !bytes.Equal(saved, again) {
+			t.Fatal("reloading a re-saved snapshot changed its bytes")
+		}
+		if bytes.Equal(data, valid) && !bytes.Equal(saved, data) {
+			t.Fatal("the valid seed did not re-save byte for byte")
+		}
+	})
+}
+
+// reloadSnapshot loads data into a fresh monitor, whose prober fails the
+// test (loading never probes), and returns the monitor's own snapshot.
+func reloadSnapshot(t *testing.T, data []byte) ([]byte, error) {
+	m := New(Options{GridM: 8}, ProberFunc(func(id uint64) geom.Point {
+		t.Fatalf("LoadSnapshot probed object %d", id)
+		return geom.Point{}
+	}), nil)
+	if err := m.LoadSnapshot(bytes.NewReader(data)); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := m.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), nil
+}
+
+// snapshotSeed saves a monitor holding 60 moved objects and one query of
+// each kind.
+func snapshotSeed(f *testing.F) []byte {
+	rng := rand.New(rand.NewSource(7))
+	pos := map[uint64]geom.Point{}
+	m := New(Options{GridM: 8}, ProberFunc(func(id uint64) geom.Point { return pos[id] }), nil)
+	for i := uint64(0); i < 60; i++ {
+		pos[i] = geom.Pt(rng.Float64(), rng.Float64())
+		m.AddObject(i, pos[i])
+	}
+	_, _, err1 := m.RegisterRange(1, geom.R(0.2, 0.2, 0.5, 0.5))
+	_, _, err2 := m.RegisterKNN(2, geom.Pt(0.7, 0.7), 3, true)
+	_, _, err3 := m.RegisterWithinDistance(3, geom.Pt(0.3, 0.8), 0.15)
+	_, _, err4 := m.RegisterCount(4, geom.R(0.6, 0.1, 0.9, 0.4))
+	for _, err := range []error{err1, err2, err3, err4} {
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	m.SetTime(1)
+	for i := uint64(0); i < 60; i += 3 {
+		pos[i] = geom.Pt(clamp01(pos[i].X+0.05), clamp01(pos[i].Y-0.05))
+		m.Update(i, pos[i])
+	}
+	var buf bytes.Buffer
+	if err := m.SaveSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
+}

@@ -1,95 +1,64 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"srb/internal/geom"
 )
 
-// BulkLoad builds a tree from items using Sort-Tile-Recursive packing
-// (Leutenegger et al., ICDE 1997): items are sorted into √s vertical slabs by
-// center x, each slab sorted by center y, and packed into full leaves. The
-// resulting tree is balanced with near-minimal overlap and builds in
-// O(n log n), far faster than repeated insertion — useful for initial
-// population at paper scale (100k objects) and for periodic-monitoring
-// baselines that rebuild every cycle.
-func BulkLoad(items []Item) *Tree {
-	return BulkLoadWithCapacity(items, defaultMax)
-}
-
-// BulkLoadWithCapacity is BulkLoad with an explicit node capacity.
-func BulkLoadWithCapacity(items []Item, max int) *Tree {
-	t := NewWithCapacity(max)
-	if len(items) == 0 {
-		return t
-	}
-	// Pack leaves.
-	entries := make([]entry, len(items))
-	for i, it := range items {
+// pack places the pending items with Sort-Tile-Recursive packing
+// (Leutenegger et al., ICDE 1997) and empties the buffer. Leaves hold
+// 2·min−1 entries, the fewest for which strPack's even split keeps every
+// leaf at min or above; the rest of each leaf is room for updates and
+// inserts. Upper levels are packed full. It runs once per population, not
+// per update.
+//
+//srb:coldpath
+func (t *Tree) pack() {
+	entries := make([]entry, len(t.pending))
+	for i, it := range t.pending {
 		entries[i] = entry{rect: it.Rect, item: it}
 	}
-	level := 0
-	for {
-		nodes := strPack(entries, t.max, level)
+	t.pending, t.pendingAt = nil, make(map[uint64]int)
+	t.leafOf = make(map[uint64]*Node, len(entries))
+	per := 2*t.min - 1
+	for level := 0; ; level++ {
+		nodes := strPack(entries, per, level)
+		for _, n := range nodes {
+			t.reparent(n)
+		}
 		if len(nodes) == 1 {
 			t.root = nodes[0]
-			break
+			return
 		}
-		parents := make([]entry, len(nodes))
+		entries = make([]entry, len(nodes))
 		for i, n := range nodes {
-			parents[i] = entry{rect: n.mbr(), child: n}
+			entries[i] = entry{rect: n.mbr(), child: n}
 		}
-		entries = parents
-		level++
+		per = t.max
 	}
-	t.size = len(items)
-	var index func(n *Node)
-	index = func(n *Node) {
-		for i := range n.entries {
-			if c := n.entries[i].child; c != nil {
-				c.parent = n
-				index(c)
-			} else {
-				t.leafOf[n.entries[i].item.ID] = n
-			}
-		}
-	}
-	index(t.root)
-	return t
 }
 
-// strPack groups entries into nodes of the given level using STR tiling.
-// Group sizes are distributed evenly rather than greedily so every node
-// (except a lone root) meets the R*-tree minimum fill: with k = ⌈n/max⌉
-// groups, an even split gives every group more than max/2 ≥ min entries.
-func strPack(entries []entry, max, level int) []*Node {
+// strPack groups entries into nodes of the given level using STR tiling,
+// reordering entries in place: sorted by center x into ⌈√k⌉ vertical slabs
+// for k = ⌈n/per⌉ nodes, each slab sorted by center y and cut into nodes of
+// at most per entries. Group sizes are distributed evenly rather than
+// greedily, so with more than one node every node holds at least
+// ⌊(per+1)/2⌋ entries.
+func strPack(entries []entry, per, level int) []*Node {
 	n := len(entries)
-	nodeCount := (n + max - 1) / max
-	slabs := int(math.Ceil(math.Sqrt(float64(nodeCount))))
-	if slabs < 1 {
-		slabs = 1
-	}
-
-	sorted := make([]entry, n)
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		return centerX(sorted[i].rect) < centerX(sorted[j].rect)
-	})
-
+	slabs := int(math.Ceil(math.Sqrt(float64((n + per - 1) / per))))
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(centerX(a.rect), centerX(b.rect)) })
 	var nodes []*Node
-	off := 0
-	for _, slabSize := range splitEven(n, slabs*max) {
-		slab := sorted[off : off+slabSize]
-		off += slabSize
-		sort.Slice(slab, func(i, j int) bool {
-			return centerY(slab[i].rect) < centerY(slab[j].rect)
-		})
-		o := 0
-		for _, groupSize := range splitEven(len(slab), max) {
-			node := &Node{level: level, entries: append([]entry(nil), slab[o:o+groupSize]...)}
-			o += groupSize
-			nodes = append(nodes, node)
+	for _, slabSize := range splitEven(n, slabs*per) {
+		slab := entries[:slabSize]
+		entries = entries[slabSize:]
+		slices.SortFunc(slab, func(a, b entry) int { return cmp.Compare(centerY(a.rect), centerY(b.rect)) })
+		for _, size := range splitEven(len(slab), per) {
+			nodes = append(nodes, &Node{level: level, entries: append([]entry(nil), slab[:size]...)})
+			slab = slab[size:]
 		}
 	}
 	return nodes

@@ -18,10 +18,14 @@ import (
 // the inputs on which a change to ChooseSubtree, the forced-reinsert order,
 // the split or Update's choice among its bottom-up moves would first show.
 // The constants were last replaced, on purpose, when Update gained the
-// sibling move and grow-in-place; optimizations that keep the tree's shape
-// must leave them alone. A change that moves them changes the tree, and with
-// it the order of search results, which the monitor must not depend on (the
-// tree-shape scenario in internal/parallel checks that it does not).
+// sibling move and grow-in-place. Both streams begin by buffering inserts
+// into an empty tree and pack them at the first Delete (capacity 4 packs one
+// item at op 3 and ten at op 27, capacity 16 twelve at op 27); neither tree
+// keeps a trace of it by op 5000. Optimizations that keep the tree's shape
+// must leave them alone. A change that moves them changes
+// the tree, and with it the order of search results, which the monitor must
+// not depend on (the tree-shape scenario in internal/parallel and
+// TestPackedTreeMatchesIncremental in internal/core check that it does not).
 func TestTreeShapeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		capacity int

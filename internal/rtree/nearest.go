@@ -39,6 +39,7 @@ func (h *distHeap) Pop() interface{} {
 func (t *Tree) Nearest(q geom.Point) *NearestIter {
 	it := &NearestIter{q: q}
 	if t.size > 0 {
+		t.flush()
 		it.pq = append(it.pq, distEntry{dist: 0, node: t.root})
 	}
 	return it

@@ -18,6 +18,20 @@
 //
 // A sibling's entry lies inside the parent's rectangle, so step 2 must come
 // before step 3 or it could never run.
+//
+// A tree populated from empty is not built by top-down insertion. An Insert
+// into an empty tree, or into one that is still buffering, appends the item
+// to a pending list; Update and Get of a pending ID read or write its
+// pending rectangle, and Len counts it. The first call that needs placed
+// nodes (Root, Search, All, Nearest, KNearest, Bounds, Height or Delete)
+// packs the whole list with Sort-Tile-Recursive packing (Leutenegger et al.,
+// ICDE 1997): a balanced tree with little overlap, built in O(n log n)
+// instead of n insertions. Leaves get 2·min−1 entries (11 of 16 at the
+// default capacity), not a full node, so Update's sibling move finds room
+// and a leaf does not split on its first insert. Later inserts take the R*
+// path. The monitor's initial population,
+// snapshot load and journal replay all insert into a fresh tree before their
+// first query, so all three are packed.
 package rtree
 
 import (
@@ -78,14 +92,21 @@ func (n *Node) mbr() geom.Rect {
 	return r
 }
 
-// Tree is an R*-tree. It is not safe for concurrent mutation; the framework
-// serializes location updates (Section 3 assumption 2).
+// Tree is an R*-tree. It is single-writer: even its read methods are not
+// safe for concurrent use, because the first of them after a buffered
+// population packs the tree. The framework serializes location updates
+// (Section 3 assumption 2).
 type Tree struct {
 	root   *Node
-	size   int
+	size   int // placed plus pending items
 	max    int
 	min    int
 	leafOf map[uint64]*Node
+
+	// pending holds, in insertion order, the items inserted while none is
+	// placed; pendingAt maps each one's ID to its position. pack empties both.
+	pending   []Item
+	pendingAt map[uint64]int
 
 	// reinserted has bit l set once level l has been force-reinserted during
 	// the current top-level insertion (R* OverflowTreatment runs at most once
@@ -112,27 +133,35 @@ func NewWithCapacity(max int) *Tree {
 		max = 4
 	}
 	return &Tree{
-		root:   &Node{level: 0},
-		max:    max,
-		min:    max * 2 / 5, // R* recommends m ≈ 40 % of M
-		leafOf: make(map[uint64]*Node),
+		root:      &Node{level: 0},
+		max:       max,
+		min:       max * 2 / 5, // R* recommends m ≈ 40 % of M
+		leafOf:    make(map[uint64]*Node),
+		pendingAt: make(map[uint64]int),
 	}
 }
 
-// Len returns the number of stored items.
+// Len returns the number of stored items, pending ones included.
 func (t *Tree) Len() int { return t.size }
 
 // Height returns the number of levels (1 for a tree that is a single leaf).
-func (t *Tree) Height() int { return t.root.level + 1 }
+func (t *Tree) Height() int {
+	t.flush()
+	return t.root.level + 1
+}
 
 // Root returns the root node for external traversals.
-func (t *Tree) Root() *Node { return t.root }
+func (t *Tree) Root() *Node {
+	t.flush()
+	return t.root
+}
 
 // Bounds returns the bounding rectangle of all items and false when empty.
 func (t *Tree) Bounds() (geom.Rect, bool) {
 	if t.size == 0 {
 		return geom.Rect{}, false
 	}
+	t.flush()
 	return t.root.mbr(), true
 }
 
@@ -145,8 +174,16 @@ func (t *Tree) Stats() (splits, reinserts, fastUpdates, slowUpdates int) {
 // Insert adds an item. Inserting an ID that is already present replaces its
 // rectangle (via Update).
 func (t *Tree) Insert(id uint64, r geom.Rect) {
-	if _, ok := t.leafOf[id]; ok {
+	_, placed := t.leafOf[id]
+	if _, pending := t.pendingAt[id]; placed || pending {
 		t.Update(id, r)
+		return
+	}
+	if t.size == len(t.pending) {
+		// Nothing is placed: buffer the item until a call needs nodes.
+		t.pendingAt[id] = len(t.pending)
+		t.pending = append(t.pending, Item{ID: id, Rect: r})
+		t.size++
 		return
 	}
 	t.reinserted = 0
@@ -156,6 +193,7 @@ func (t *Tree) Insert(id uint64, r geom.Rect) {
 
 // Delete removes the item with the given ID, reporting whether it existed.
 func (t *Tree) Delete(id uint64) bool {
+	t.flush()
 	leaf, ok := t.leafOf[id]
 	if !ok {
 		return false
@@ -168,11 +206,15 @@ func (t *Tree) Delete(id uint64) bool {
 }
 
 // Update changes the rectangle of an existing item, trying the bottom-up
-// moves described in the package comment before delete+reinsert. Unknown IDs
-// are inserted.
+// moves described in the package comment before delete+reinsert. A pending
+// item's rectangle is overwritten. Unknown IDs are inserted.
 func (t *Tree) Update(id uint64, r geom.Rect) {
 	leaf, ok := t.leafOf[id]
 	if !ok {
+		if i, ok := t.pendingAt[id]; ok {
+			t.pending[i].Rect = r
+			return
+		}
 		t.Insert(id, r)
 		return
 	}
@@ -239,6 +281,9 @@ func (t *Tree) coveringSibling(leaf *Node, r geom.Rect) *Node {
 func (t *Tree) Get(id uint64) (geom.Rect, bool) {
 	leaf, ok := t.leafOf[id]
 	if !ok {
+		if i, ok := t.pendingAt[id]; ok {
+			return t.pending[i].Rect, true
+		}
 		return geom.Rect{}, false
 	}
 	return leaf.entries[leaf.itemIndex(id)].rect, true
@@ -271,6 +316,7 @@ func (e *entry) setRect(r geom.Rect) {
 // Search invokes fn for every item whose rectangle intersects q, stopping
 // early when fn returns false.
 func (t *Tree) Search(q geom.Rect, fn func(Item) bool) {
+	t.flush()
 	t.search(t.root, q, fn)
 }
 
@@ -296,6 +342,7 @@ func (t *Tree) All(fn func(Item) bool) {
 	if t.size == 0 {
 		return
 	}
+	t.flush()
 	t.search(t.root, t.root.mbr(), fn)
 }
 
@@ -306,6 +353,13 @@ func (n *Node) entryOf(child *Node) *entry {
 		}
 	}
 	panic("rtree: parent does not reference child")
+}
+
+// flush places the pending items, if there are any.
+func (t *Tree) flush() {
+	if len(t.pending) > 0 {
+		t.pack()
+	}
 }
 
 // --- insertion --------------------------------------------------------------
@@ -587,7 +641,9 @@ func mbrOf(es []entry) geom.Rect {
 }
 
 // CheckInvariants validates structural invariants (entry counts, MBR
-// consistency, parent pointers, leaf map). Intended for tests.
+// consistency, parent pointers, leaf map) and the pending buffer (size =
+// placed + pending, nothing placed while items are pending, the position
+// index), without packing. Intended for tests.
 func (t *Tree) CheckInvariants() error {
 	count := 0
 	var walk func(n *Node) error
@@ -628,11 +684,23 @@ func (t *Tree) CheckInvariants() error {
 	if err := walk(t.root); err != nil {
 		return err
 	}
-	if count != t.size {
-		return fmt.Errorf("size %d but %d leaf entries", t.size, count)
+	if count+len(t.pending) != t.size {
+		return fmt.Errorf("size %d but %d leaf entries and %d pending", t.size, count, len(t.pending))
 	}
-	if len(t.leafOf) != t.size {
-		return fmt.Errorf("leaf map has %d entries, size %d", len(t.leafOf), t.size)
+	if len(t.leafOf) != count {
+		return fmt.Errorf("leaf map has %d entries, %d leaf entries", len(t.leafOf), count)
+	}
+	// Nothing is placed while items are pending, so no ID is in both.
+	if len(t.pending) > 0 && count > 0 {
+		return fmt.Errorf("%d items pending while %d are placed", len(t.pending), count)
+	}
+	if len(t.pendingAt) != len(t.pending) {
+		return fmt.Errorf("position index has %d entries, %d pending", len(t.pendingAt), len(t.pending))
+	}
+	for i, it := range t.pending {
+		if j, ok := t.pendingAt[it.ID]; !ok || j != i {
+			return fmt.Errorf("position index stale for pending id %d", it.ID)
+		}
 	}
 	return nil
 }

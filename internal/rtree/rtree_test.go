@@ -130,6 +130,7 @@ func TestUpdateBottomUpFastPath(t *testing.T) {
 		tr.Insert(uint64(i), r)
 		ref[uint64(i)] = r
 	}
+	tr.Root() // place the buffered items, so the updates below meet the tree
 	// Shrinking an entry slightly must take the fast path: the new rect is
 	// inside the parent entry's MBR.
 	_, _, fastBefore, _ := tr.Stats()
@@ -164,6 +165,7 @@ func TestUpdateMovesFarAway(t *testing.T) {
 		tr.Insert(uint64(i), r)
 		ref[uint64(i)] = r
 	}
+	tr.Root() // place the buffered items, so the updates below meet the tree
 	for trial := 0; trial < 3000; trial++ {
 		id := uint64(rng.Intn(800))
 		r := randRect(rng, 0.02)
@@ -316,22 +318,37 @@ func gotAbs(v float64) float64 {
 	return v
 }
 
+// TestBulkLoadMatchesInserted fills empty trees by Insert, which buffers the
+// items, and checks the tree the first Search packs: size, invariants (before
+// and after the pack), no split or reinsert, and range results.
 func TestBulkLoadMatchesInserted(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{0, 1, 5, 16, 17, 100, 2500} {
-		items := make([]Item, n)
+	for _, c := range []struct{ capacity, n int }{
+		{16, 0}, {16, 1}, {16, 5}, {16, 17}, {16, 100}, {16, 2500}, {4, 500},
+	} {
+		n := c.n
+		tr := NewWithCapacity(c.capacity)
 		ref := map[uint64]geom.Rect{}
 		for i := 0; i < n; i++ {
 			r := randRect(rng, 0.02)
-			items[i] = Item{ID: uint64(i), Rect: r}
+			tr.Insert(uint64(i), r)
 			ref[uint64(i)] = r
 		}
-		tr := BulkLoad(items)
-		if tr.Len() != n {
-			t.Fatalf("n=%d: Len = %d", n, tr.Len())
+		if len(tr.pending) != n {
+			t.Fatalf("capacity %d n=%d: %d items pending before the first read", c.capacity, n, len(tr.pending))
 		}
 		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("n=%d: invariants: %v", n, err)
+			t.Fatalf("capacity %d n=%d: invariants while pending: %v", c.capacity, n, err)
+		}
+		tr.Search(geom.Rect{}, func(Item) bool { return true })
+		if tr.Len() != n || len(tr.pending) != 0 {
+			t.Fatalf("capacity %d n=%d: Len = %d, %d still pending", c.capacity, n, tr.Len(), len(tr.pending))
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("capacity %d n=%d: invariants: %v", c.capacity, n, err)
+		}
+		if splits, reinserts, _, _ := tr.Stats(); splits != 0 || reinserts != 0 {
+			t.Fatalf("capacity %d n=%d: packed build split %d times and reinserted %d times", c.capacity, n, splits, reinserts)
 		}
 		for trial := 0; trial < 10 && n > 0; trial++ {
 			q := randRect(rng, 0.3)
@@ -339,22 +356,26 @@ func TestBulkLoadMatchesInserted(t *testing.T) {
 			got := map[uint64]bool{}
 			tr.Search(q, func(it Item) bool { got[it.ID] = true; return true })
 			if len(got) != len(want) {
-				t.Fatalf("n=%d trial %d: got %d want %d", n, trial, len(got), len(want))
+				t.Fatalf("capacity %d n=%d trial %d: got %d want %d", c.capacity, n, trial, len(got), len(want))
 			}
 		}
 	}
 }
 
+// TestBulkLoadedTreeSupportsMutation packs a capacity-8 tree and churns it
+// with inserts, deletes and updates on the R* paths.
 func TestBulkLoadedTreeSupportsMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	items := make([]Item, 1000)
 	ref := map[uint64]geom.Rect{}
-	for i := range items {
+	tr := NewWithCapacity(8)
+	for i := 0; i < 1000; i++ {
 		r := randRect(rng, 0.02)
-		items[i] = Item{ID: uint64(i), Rect: r}
+		tr.Insert(uint64(i), r)
 		ref[uint64(i)] = r
 	}
-	tr := BulkLoadWithCapacity(items, 8)
+	if h := tr.Height(); h < 3 || len(tr.pending) != 0 {
+		t.Fatalf("Height = %d with %d pending; want a packed tree of height ≥ 3", h, len(tr.pending))
+	}
 	for step := 0; step < 2000; step++ {
 		switch rng.Intn(3) {
 		case 0:
@@ -393,18 +414,21 @@ func TestBulkLoadedTreeSupportsMutation(t *testing.T) {
 }
 
 func TestBulkLoadFasterQueryQuality(t *testing.T) {
-	// STR-packed trees should answer range queries touching no more leaves
-	// than insertion-built trees of the same capacity (sanity: same results).
+	// A tree packed from its buffer and one placed item by item (its first
+	// item is placed by Root before the rest arrive) must answer range
+	// queries alike.
 	rng := rand.New(rand.NewSource(15))
-	items := make([]Item, 5000)
-	for i := range items {
+	bulk, inc := New(), New()
+	for i := 0; i < 5000; i++ {
 		r := randRect(rng, 0.01)
-		items[i] = Item{ID: uint64(i), Rect: r}
+		bulk.Insert(uint64(i), r)
+		inc.Insert(uint64(i), r)
+		if i == 0 {
+			inc.Root()
+		}
 	}
-	bulk := BulkLoad(items)
-	inc := New()
-	for _, it := range items {
-		inc.Insert(it.ID, it.Rect)
+	if inc.splits == 0 || len(inc.pending) != 0 {
+		t.Fatalf("incremental tree did not take the R* insert path: %d splits, %d pending", inc.splits, len(inc.pending))
 	}
 	for trial := 0; trial < 20; trial++ {
 		q := randRect(rng, 0.1)
@@ -417,8 +441,9 @@ func TestBulkLoadFasterQueryQuality(t *testing.T) {
 	}
 }
 
-// BenchmarkTreeInsert measures building a tree by inserting 50k points into
-// an empty one: ChooseSubtree, forced reinsertion and splits.
+// BenchmarkTreeInsert measures the R* insert path (ChooseSubtree, forced
+// reinsertion and splits) by inserting 50k points into a tree whose first
+// point is placed, so none is buffered for packing.
 func BenchmarkTreeInsert(b *testing.B) {
 	const n = 50000
 	rng := rand.New(rand.NewSource(21))
@@ -432,6 +457,9 @@ func BenchmarkTreeInsert(b *testing.B) {
 		tr := New()
 		for id, r := range pts {
 			tr.Insert(uint64(id), r)
+			if id == 0 {
+				tr.Root()
+			}
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/insert")
@@ -448,6 +476,7 @@ func BenchmarkTreeUpdateSlowPath(b *testing.B) {
 	for i := 0; i < n; i++ {
 		tr.Insert(uint64(i), randRect(rng, 0.002))
 	}
+	tr.Root()
 	moves := make([]geom.Rect, 4096)
 	for i := range moves {
 		moves[i] = randRect(rng, 0.002)
@@ -475,6 +504,7 @@ func BenchmarkTreeUpdateLocal(b *testing.B) {
 	for i := 0; i < n; i++ {
 		tr.Insert(uint64(i), randRect(rng, 0.002))
 	}
+	tr.Root()
 	_, _, fast0, slow0 := tr.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()

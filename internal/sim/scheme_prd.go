@@ -117,10 +117,15 @@ func RunPRD(cfg Config, tPrd float64) Result {
 		// The paper's PRD builds a new R*-tree at every synchronization
 		// instant ("they need to build a new R*-tree for query reevaluation
 		// at each location updating instance"), which is what makes its CPU
-		// cost linear in N with a large constant.
+		// cost linear in N with a large constant. The tree is built by R*
+		// insertion: Root places the first item, so the rest are not
+		// buffered for STR packing.
 		tree := rtree.New()
 		for i := 0; i < cfg.N; i++ {
 			tree.Insert(uint64(i), geom.RectAround(curs[i].At(t)))
+			if i == 0 {
+				tree.Root()
+			}
 		}
 		for i, qs := range specs {
 			if qs.Kind == query.KindRange {
