@@ -72,11 +72,12 @@ obs-smoke:
 	$(GO) run ./cmd/srb-obs-smoke -server bin/srb-server -client bin/srb-client -for 10s
 
 # Documentation gate: METRICS.md must list exactly the metric families the
-# code registers, every markdown cross-reference must resolve, and vet stays
-# clean. The two tests also run under plain `make test`; this target is the
-# fast path for the CI docs job.
+# code registers, OPERATIONS.md exactly the flags srb-server defines, every
+# markdown cross-reference must resolve, and vet stays clean. The three tests
+# also run under plain `make test`; this target is the fast path for the CI
+# docs job.
 docs:
-	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestDocsLinksResolve' -v .
+	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestServerFlagsDocumented|TestDocsLinksResolve' -v .
 	$(GO) vet ./...
 
 # Short fuzz runs of the geometry and R*-tree oracles, the kNN search

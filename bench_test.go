@@ -568,13 +568,13 @@ func BenchmarkUpdateBatch(b *testing.B) {
 // --- Observability overhead ------------------------------------------------------
 
 // BenchmarkUpdateSequentialInstrumented is BenchmarkUpdateSequential with a
-// live metrics registry and decision tracer attached: the delta against the
+// live metrics registry and event ring attached: the delta against the
 // uninstrumented run is the full observability cost on the hottest path.
 // BenchmarkUpdateSequential itself (hooks compiled in, no sink) measures the
 // nil-sink cost, which EXPERIMENTS.md bounds at 5% over the pre-hook seed.
 func BenchmarkUpdateSequentialInstrumented(b *testing.B) {
 	positions, mon, walkers := updateBenchWorld(b, updateBatchObjects)
-	mon.SetObs(obs.NewSink(obs.NewRegistry(), obs.NewTracer(obs.DefaultTraceDepth)))
+	mon.SetObs(obs.NewSink(obs.NewRegistry(), obs.NewFlightRecorder(0, "")))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -591,7 +591,7 @@ func BenchmarkUpdateSequentialInstrumented(b *testing.B) {
 // attached to both the monitor and the pipeline.
 func BenchmarkUpdateBatchInstrumented(b *testing.B) {
 	positions, mon, walkers := updateBenchWorld(b, updateBatchObjects)
-	sink := obs.NewSink(obs.NewRegistry(), obs.NewTracer(obs.DefaultTraceDepth))
+	sink := obs.NewSink(obs.NewRegistry(), obs.NewFlightRecorder(0, ""))
 	mon.SetObs(sink)
 	pipe := parallel.New(mon, 4)
 	pipe.SetObs(sink)

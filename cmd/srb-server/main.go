@@ -32,20 +32,23 @@ func main() {
 		neighbor    = flag.Int("cellneighborhood", 0, "adaptive safe-region cell radius (§7.4 extension)")
 		workers     = flag.Int("workers", 0, "batch update pipeline worker count; 0 disables batching")
 		admin       = flag.String("admin", "", "optional HTTP admin address (/stats, /snapshot, /svg, /metrics, /trace, /queries, /debug/flightrec, /debug/pprof)")
-		obsOn       = flag.Bool("obs", true, "attach metrics and tracing when -admin is set")
-		traceBuf    = flag.Int("tracebuf", obs.DefaultTraceDepth, "decision-trace ring size (events retained for /trace)")
+		obsOn       = flag.Bool("obs", true, "attach metrics and instrument the monitor and pipeline when -admin is set")
 		chaosSpec   = flag.String("chaos", "", "fault-injection spec applied to every connection, e.g. drop=0.01,dup=0.005,delay=5ms,delayrate=0.1,sever=0.001,seed=7")
 		lease       = flag.Duration("lease", 0, "session lease: how long a disconnected client's object survives for resume; 0 removes it immediately")
 		persistDir  = flag.String("persist", "", "directory for the crash-recovery snapshot + journal; empty disables persistence")
 		snapEvery   = flag.Duration("snapshot-every", 30*time.Second, "periodic snapshot interval when -persist is set; 0 journals without snapshotting")
 		recoverFlag = flag.Bool("recover", false, "replay the -persist directory's snapshot + journal before serving")
-		flightSize  = flag.Int("flightrec", obs.DefaultFlightDepth, "flight-recorder ring size (recent causal events kept for post-mortem dumps); <0 disables")
+		flightSize  = flag.Int("flightrec", obs.DefaultFlightDepth, "event ring size (recent events kept for /trace, /debug/flightrec and post-mortem dumps); <0 disables")
 		flightDir   = flag.String("flightrec-dir", "", "directory for flight-recorder dump files; default is the -persist directory, else the working directory")
 		sloBreach   = flag.Duration("slo", 0, "event-loop latency SLO; an op over it dumps the flight recorder (0 disables the trigger)")
-		slowOp      = flag.Duration("slowop", 0, "slow-op threshold: monitor operations at or over it are appended to -slowop-log as NDJSON (0 disables; needs -obs)")
+		slowOp      = flag.Duration("slowop", 0, "slow-op threshold: monitor operations at or over it are appended to -slowop-log as NDJSON (0 disables; needs -admin with -obs)")
 		slowOpLog   = flag.String("slowop-log", "", "slow-op log path, appended to; default stderr when -slowop is set")
 	)
 	flag.Parse()
+	instrument := *admin != "" && *obsOn
+	if err := checkSlowOp(*slowOp, instrument); err != nil {
+		log.Fatal(err)
+	}
 
 	s, err := remote.NewServer(*addr, core.Options{
 		Space:            geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1},
@@ -57,10 +60,25 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	if *admin != "" && *obsOn {
+	// The flight recorder is on by default: the bounded ring of recent events
+	// that /trace and /debug/flightrec render and that is dumped on SLO
+	// breach, reconnect storm, or SIGQUIT.
+	var flight *obs.FlightRecorder
+	if *flightSize >= 0 {
+		dir := *flightDir
+		if dir == "" {
+			dir = *persistDir // "" falls back to the working directory
+		}
+		flight = obs.NewFlightRecorder(*flightSize, dir)
+		flight.SetLogf(log.Printf)
+		defer flight.Close()
+		s.SetFlightRecorder(flight)
+		s.SetSLO(*sloBreach)
+	}
+	if instrument {
 		reg := obs.NewRegistry()
 		reg.PublishExpvar("srb")
-		s.SetObs(obs.NewSink(reg, obs.NewTracer(*traceBuf)))
+		s.SetObs(obs.NewSink(reg, flight))
 	}
 	if *slowOp > 0 {
 		w := io.Writer(os.Stderr)
@@ -73,20 +91,6 @@ func main() {
 			w = f
 		}
 		s.SetSlowOpLog(*slowOp, w)
-	}
-	// The flight recorder is on by default: a bounded ring of recent causal
-	// events dumped on SLO breach, reconnect storm, or SIGQUIT.
-	var flight *obs.FlightRecorder
-	if *flightSize >= 0 {
-		dir := *flightDir
-		if dir == "" {
-			dir = *persistDir // "" falls back to the working directory
-		}
-		flight = obs.NewFlightRecorder(*flightSize, dir)
-		flight.SetLogf(log.Printf)
-		defer flight.Close()
-		s.SetFlightRecorder(flight)
-		s.SetSLO(*sloBreach)
 	}
 	s.SetWorkers(*workers)
 	s.SetLease(*lease)
@@ -163,4 +167,14 @@ func main() {
 	if err := s.Serve(); err != nil {
 		log.Printf("server stopped: %v", err)
 	}
+}
+
+// checkSlowOp refuses a slow-op threshold the server cannot honour: slow ops
+// are detected only while the monitor is instrumented, which needs -admin
+// with -obs.
+func checkSlowOp(threshold time.Duration, instrumented bool) error {
+	if threshold > 0 && !instrumented {
+		return fmt.Errorf("-slowop %s needs -admin with -obs: slow ops are timed only on an instrumented monitor", threshold)
+	}
+	return nil
 }

@@ -74,11 +74,11 @@ func main() {
 	}
 	if *metrics != "" {
 		reg := obs.NewRegistry()
-		tr := obs.NewTracer(obs.DefaultTraceDepth)
-		base.Obs = obs.NewSink(reg, tr)
+		fr := obs.NewFlightRecorder(obs.DefaultFlightDepth, "")
+		base.Obs = obs.NewSink(reg, fr)
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", reg)
-		mux.Handle("/trace", tr)
+		mux.HandleFunc("/trace", fr.ServeChromeTrace)
 		go func() {
 			defer func() {
 				if r := recover(); r != nil {

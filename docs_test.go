@@ -1,15 +1,20 @@
 package srb_test
 
 // Documentation gates: METRICS.md must list exactly the metric families the
-// code registers, and every markdown cross-reference must resolve. Both run
-// under plain `go test` and in the CI docs job.
+// code registers, OPERATIONS.md exactly the flags srb-server defines, and
+// every markdown cross-reference must resolve. All run under plain `go test`
+// and in the CI docs job.
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -177,5 +182,87 @@ func TestDocsLinksResolve(t *testing.T) {
 				t.Errorf("%s: broken link %q: %v", doc, target, err)
 			}
 		}
+	}
+}
+
+// serverFlags collects the flag names cmd/srb-server/main.go defines: the
+// string-literal first argument of every flag.* call.
+func serverFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", "srb-server", "main.go"), nil, 0)
+	if err != nil {
+		t.Fatalf("parse srb-server: %v", err)
+	}
+	out := make(map[string]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatalf("flag name %s: %v", lit.Value, err)
+			}
+			out[name] = true
+		}
+		return true
+	})
+	if len(out) == 0 {
+		t.Fatal("no flag definitions found in cmd/srb-server/main.go")
+	}
+	return out
+}
+
+// docServerFlags extracts the flag rows of OPERATIONS.md's "srb-server flags"
+// table.
+func docServerFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile("OPERATIONS.md")
+	if err != nil {
+		t.Fatalf("read OPERATIONS.md: %v", err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n### srb-server flags\n")
+	if !ok {
+		t.Fatal(`OPERATIONS.md has no "srb-server flags" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	row := regexp.MustCompile("^\\| `-([a-z-]+)`")
+	out := make(map[string]bool)
+	for _, line := range strings.Split(section, "\n") {
+		if m := row.FindStringSubmatch(line); m != nil {
+			out[m[1]] = true
+		}
+	}
+	return out
+}
+
+func TestServerFlagsDocumented(t *testing.T) {
+	code, doc := serverFlags(t), docServerFlags(t)
+	var missing, stale []string
+	for name := range code {
+		if !doc[name] {
+			missing = append(missing, "-"+name)
+		}
+	}
+	for name := range doc {
+		if !code[name] {
+			stale = append(stale, "-"+name)
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(stale)
+	if len(missing) > 0 {
+		t.Errorf("srb-server flags missing from OPERATIONS.md: %v", missing)
+	}
+	if len(stale) > 0 {
+		t.Errorf("OPERATIONS.md documents srb-server flags that do not exist: %v", stale)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"srb/internal/geom"
+	"srb/internal/obs"
 	"srb/internal/query"
 	"srb/internal/rtree"
 )
@@ -220,7 +221,7 @@ func (m *Monitor) RegisterRange(id query.ID, rect geom.Rect) ([]uint64, []SafeRe
 	m.grid.Insert(q)
 	updates := m.refreshProbedAgainst(q)
 	if m.mobs != nil {
-		m.mobs.done(m, "register", m.mobs.regSeconds, t0, before)
+		m.mobs.done(m, obs.KindCoreRegister, m.mobs.regSeconds, t0, before)
 	}
 	m.assertInvariants()
 	return append([]uint64(nil), results...), updates, nil
@@ -249,7 +250,7 @@ func (m *Monitor) RegisterKNN(id query.ID, pt geom.Point, k int, orderSensitive 
 	m.grid.Insert(q)
 	updates := m.refreshProbedAgainst(q)
 	if m.mobs != nil {
-		m.mobs.done(m, "register", m.mobs.regSeconds, t0, before)
+		m.mobs.done(m, obs.KindCoreRegister, m.mobs.regSeconds, t0, before)
 	}
 	m.assertInvariants()
 	return append([]uint64(nil), q.Results...), updates, nil
@@ -281,7 +282,7 @@ func (m *Monitor) RegisterWithinDistance(id query.ID, center geom.Point, radius 
 	m.grid.Insert(q)
 	updates := m.refreshProbedAgainst(q)
 	if m.mobs != nil {
-		m.mobs.done(m, "register", m.mobs.regSeconds, t0, before)
+		m.mobs.done(m, obs.KindCoreRegister, m.mobs.regSeconds, t0, before)
 	}
 	m.assertInvariants()
 	return append([]uint64(nil), results...), updates, nil
@@ -347,7 +348,7 @@ func (m *Monitor) RegisterCount(id query.ID, rect geom.Rect) (int, []SafeRegionU
 	m.grid.Insert(q)
 	updates := m.refreshProbedAgainst(q)
 	if m.mobs != nil {
-		m.mobs.done(m, "register", m.mobs.regSeconds, t0, before)
+		m.mobs.done(m, obs.KindCoreRegister, m.mobs.regSeconds, t0, before)
 	}
 	m.assertInvariants()
 	return len(results), updates, nil
@@ -370,7 +371,7 @@ func (m *Monitor) Deregister(id query.ID) bool {
 		m.mobs.qTracked.Set(float64(len(m.mobs.lg.entries)))
 		m.mobs.qRetired.Add(m.mobs.lg.retiredN - m.mobs.lg.retiredFolded)
 		m.mobs.lg.retiredFolded = m.mobs.lg.retiredN
-		m.mobs.tr.InstantTr("core", "deregister", m.opTrace, "query", int64(id), "", 0)
+		m.mobs.fr.Record(obs.Event{Kind: obs.KindCoreDeregister, Trace: m.opTrace, Query: uint64(id)})
 	}
 	m.assertInvariants()
 	return true

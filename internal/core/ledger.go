@@ -1,11 +1,11 @@
 package core
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
 	"time"
 
+	"srb/internal/obs"
 	"srb/internal/query"
 )
 
@@ -366,49 +366,36 @@ func (m *Monitor) HotQueries(k int) []QueryCost {
 	return all
 }
 
-// SetSlowOpLog configures the structured slow-operation log: operations
-// taking threshold or longer are appended to w as NDJSON records carrying the
-// op kind, duration, causal trace ID, work deltas, and the chain of queries
-// touched. Requires an attached observability sink (operation timing exists
-// only then); threshold <= 0 or w == nil disables.
+// SetSlowOpLog configures slow-operation detection: an operation taking
+// threshold or longer records a slow_op event (op name in its note, duration,
+// causal trace ID, work deltas and the chain of queries touched) into the
+// sink's ring, and its NDJSON line is appended to w when w is not nil.
+// Requires an attached observability sink (operation timing exists only
+// then); threshold <= 0 disables.
 func (m *Monitor) SetSlowOpLog(threshold time.Duration, w io.Writer) {
 	m.slowThresh = threshold
 	m.slowW = w
 }
 
-// slowOpRecord is one NDJSON line of the slow-op log.
-type slowOpRecord struct {
-	TS       int64      `json:"ts"` // unix nanoseconds
-	Op       string     `json:"op"`
-	Trace    uint64     `json:"trace,omitempty"`
-	DurNS    int64      `json:"dur_ns"`
-	Probes   int64      `json:"probes"`
-	Reevals  int64      `json:"reevals"`
-	SafeRegs int64      `json:"safe_regions"`
-	Results  int64      `json:"result_changes"`
-	Chain    []query.ID `json:"chain,omitempty"` // queries touched, capped
-}
-
-// writeSlowOp appends one slow-op record. Failures are swallowed: the log is
+// slowOp records a slow_op event for an operation that took dur from its
+// start at ts into the ring and, when a slow-op log is configured, writes the
+// event's NDJSON line to it. Log failures are swallowed: the log is
 // diagnostic, the operation itself already succeeded.
-func (m *Monitor) writeSlowOp(op string, dur time.Duration, d, before Stats) {
-	rec := slowOpRecord{
-		TS:       time.Now().UnixNano(), //lint:allow wallclock slow-op log timestamps are wall-clock by design
-		Op:       op,
-		Trace:    m.opTrace,
-		DurNS:    dur.Nanoseconds(),
-		Probes:   d.Probes - before.Probes,
-		Reevals:  d.Reevaluations - before.Reevaluations,
-		SafeRegs: d.SafeRegionsBuilt - before.SafeRegionsBuilt,
-		Results:  d.ResultChanges - before.ResultChanges,
+//
+//srb:coldpath
+func (m *Monitor) slowOp(op string, ts int64, dur time.Duration, d, before Stats) {
+	so := &obs.SlowOp{
+		Probes:        d.Probes - before.Probes,
+		Reevals:       d.Reevaluations - before.Reevaluations,
+		SafeRegions:   d.SafeRegionsBuilt - before.SafeRegionsBuilt,
+		ResultChanges: d.ResultChanges - before.ResultChanges,
 	}
-	if m.mobs != nil && len(m.mobs.lg.opChain) > 0 {
-		rec.Chain = append([]query.ID(nil), m.mobs.lg.opChain...)
+	for _, q := range m.mobs.lg.opChain {
+		so.Chain = append(so.Chain, uint64(q))
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return
+	ev := obs.Event{TS: ts, Kind: obs.FlightSlowOp, Trace: m.opTrace, Dur: dur.Nanoseconds(), Note: op, Slow: so}
+	m.mobs.fr.Record(ev)
+	if m.slowW != nil {
+		_, _ = m.slowW.Write(ev.AppendNDJSON(nil)) //lint:allow errdrop diagnostic log write; the operation already succeeded
 	}
-	b = append(b, '\n')
-	_, _ = m.slowW.Write(b) //lint:allow errdrop diagnostic log write; the operation already succeeded
 }

@@ -108,7 +108,7 @@ func TestLedgerSumsToGlobalCounters(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			sink := obs.NewSink(reg, obs.NewTracer(obs.DefaultTraceDepth))
+			sink := obs.NewSink(reg, obs.NewFlightRecorder(0, ""))
 			w := newWorld(t, tc.opt)
 			w.mon.SetObs(sink)
 			driveLedgerWorkload(t, w)
@@ -165,7 +165,7 @@ func TestLedgerNilSinkNeutral(t *testing.T) {
 	driveLedgerWorkload(t, plain)
 
 	inst := newWorld(t, Options{GridM: 10, Space: geom.R(0, 0, 100, 100), MaxSpeed: 30})
-	inst.mon.SetObs(obs.NewSink(obs.NewRegistry(), obs.NewTracer(256)))
+	inst.mon.SetObs(obs.NewSink(obs.NewRegistry(), obs.NewFlightRecorder(256, "")))
 	driveLedgerWorkload(t, inst)
 
 	if plain.mon.Stats() != inst.mon.Stats() {
@@ -212,17 +212,15 @@ func TestLedgerHotQueries(t *testing.T) {
 }
 
 // TestLedgerSlowOpLog drives with a zero-distance threshold so every
-// instrumented op is "slow", then checks the NDJSON records and the flight
-// recorder's slow-op events.
+// instrumented op is "slow", then checks the NDJSON log lines and that each
+// is the ring's own line for a slow_op event.
 func TestLedgerSlowOpLog(t *testing.T) {
 	reg := obs.NewRegistry()
 	w := newWorld(t, Options{GridM: 10, Space: geom.R(0, 0, 100, 100)})
-	w.mon.SetObs(obs.NewSink(reg, nil))
+	fr := obs.NewFlightRecorder(1<<14, "")
+	w.mon.SetObs(obs.NewSink(reg, fr))
 	var buf bytes.Buffer
 	w.mon.SetSlowOpLog(time.Nanosecond, &buf)
-	fr := obs.NewFlightRecorder(128, t.TempDir())
-	defer fr.Close()
-	w.mon.SetFlightRecorder(fr)
 	w.mon.SetOpTrace(7777)
 	driveLedgerWorkload(t, w)
 
@@ -235,16 +233,18 @@ func TestLedgerSlowOpLog(t *testing.T) {
 	for _, line := range lines {
 		var rec struct {
 			TS     int64      `json:"ts"`
-			Op     string     `json:"op"`
+			Kind   string     `json:"kind"`
+			Op     string     `json:"note"`
 			Trace  uint64     `json:"trace"`
 			DurNS  int64      `json:"dur_ns"`
 			Chain  []query.ID `json:"chain"`
-			Probes int64      `json:"probes"`
+			Probes *int64     `json:"probes"`
+			SafeRg *int64     `json:"safe_regions"`
 		}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("slow-op line does not parse: %v (%q)", err, line)
 		}
-		if rec.TS == 0 || rec.DurNS <= 0 || rec.Op == "" {
+		if rec.TS == 0 || rec.DurNS <= 0 || rec.Op == "" || rec.Kind != obs.FlightSlowOp || rec.Probes == nil || rec.SafeRg == nil {
 			t.Fatalf("slow-op record missing core fields: %q", line)
 		}
 		ops[rec.Op] = true
@@ -269,17 +269,18 @@ func TestLedgerSlowOpLog(t *testing.T) {
 	if got := reg.Counter("srb_query_slow_ops_total", "").Value(); got != int64(len(lines)) {
 		t.Errorf("srb_query_slow_ops_total = %d, want %d (one per logged record)", got, len(lines))
 	}
-	var slow int
+	// The log holds exactly the ring's slow_op lines, in order.
+	var ring []string
 	for _, ev := range fr.Events() {
 		if ev.Kind == obs.FlightSlowOp {
-			slow++
 			if ev.Trace != 7777 {
-				t.Fatalf("flight slow-op event lost the trace ID: %+v", ev)
+				t.Fatalf("ring slow-op event lost the trace ID: %+v", ev)
 			}
+			ring = append(ring, strings.TrimSuffix(string(ev.AppendNDJSON(nil)), "\n"))
 		}
 	}
-	if slow == 0 {
-		t.Error("flight recorder saw no slow-op events")
+	if strings.Join(ring, "\n") != strings.Join(lines, "\n") {
+		t.Errorf("slow-op log is not the ring's slow_op lines: ring has %d, log %d", len(ring), len(lines))
 	}
 }
 

@@ -175,16 +175,14 @@ type Monitor struct {
 	// uninstrumented, which keeps every hook to a single branch.
 	mobs *monObs
 
-	// Slow-op log configuration (SetSlowOpLog) and the black-box flight
-	// recorder (SetFlightRecorder); both optional and only consulted while an
-	// obs sink is attached, since operation timing exists only then.
+	// Slow-op log configuration (SetSlowOpLog); only consulted while an obs
+	// sink is attached, since operation timing exists only then.
 	slowThresh time.Duration
 	slowW      io.Writer
-	flight     *obs.FlightRecorder
 
 	// opTrace is the causal trace ID of the wire op currently being processed
 	// (SetOpTrace); 0 outside a traced op. Never part of monitor semantics —
-	// it only tags diagnostics (trace events, slow-op records, flight events).
+	// it only tags diagnostics (the events recorded into the ring).
 	opTrace uint64
 }
 
@@ -297,7 +295,7 @@ func (m *Monitor) AddObject(id uint64, p geom.Point) []SafeRegionUpdate {
 	}
 	out := m.finishOp(st)
 	if m.mobs != nil {
-		m.mobs.done(m, "add", m.mobs.addSeconds, t0, before)
+		m.mobs.done(m, obs.KindCoreAdd, m.mobs.addSeconds, t0, before)
 	}
 	m.assertInvariants()
 	return out
@@ -344,7 +342,7 @@ func (m *Monitor) RemoveObject(id uint64) []SafeRegionUpdate {
 	delete(m.resultOf, id)
 	out := m.finishOp(nil)
 	if m.mobs != nil {
-		m.mobs.done(m, "remove", m.mobs.remSeconds, t0, before)
+		m.mobs.done(m, obs.KindCoreRemove, m.mobs.remSeconds, t0, before)
 	}
 	m.assertInvariants()
 	return out

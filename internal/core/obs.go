@@ -13,9 +13,9 @@ import (
 // with a sink attached, counters mirror the Stats work counters (folded in
 // as per-operation deltas), op latencies land in per-kind histograms, and
 // decision-level events (probe issued/avoided, kNN case taken, safe-region
-// shrink) stream into the tracer.
+// shrink) stream into the sink's event ring.
 type monObs struct {
-	tr *obs.Tracer
+	fr *obs.FlightRecorder
 	lg *ledger
 
 	updates       *obs.Counter
@@ -49,12 +49,12 @@ type monObs struct {
 // idempotent per registry, so several monitors may share one sink only if
 // they are alternatives, not concurrent (their counters would merge).
 func (m *Monitor) SetObs(sink *obs.Sink) {
-	if sink == nil || (sink.Registry() == nil && sink.Tracer() == nil) {
+	if sink == nil || (sink.Registry() == nil && sink.Recorder() == nil) {
 		m.mobs = nil
 		return
 	}
 	r := sink.Registry()
-	o := &monObs{tr: sink.Tracer()}
+	o := &monObs{fr: sink.Recorder()}
 	o.updates = r.Counter("srb_updates_total", "Client-initiated location updates processed.")
 	o.probes = r.Counter("srb_probes_total", "Server-initiated probes issued.")
 	o.probesAvoided = r.Counter("srb_probes_avoided_total", "Ambiguities resolved without a probe (lazy probing and reachability circle).")
@@ -83,16 +83,10 @@ func (m *Monitor) SetObs(sink *obs.Sink) {
 	m.mobs = o
 }
 
-// SetFlightRecorder attaches a black-box flight recorder; slow operations are
-// recorded into it (and dumped by whoever owns the recorder's triggers). A
-// nil recorder detaches.
-func (m *Monitor) SetFlightRecorder(fr *obs.FlightRecorder) { m.flight = fr }
-
 // SetOpTrace sets the causal trace ID the next operations run under; the
 // server event loop sets it per dispatched wire op (0 clears). The ID tags
-// the operation's trace spans, probe/shrink instants, slow-op records, and
-// flight-recorder events, tying server-side work back to the client update
-// that caused it.
+// the operation's spans, probe/shrink instants and slow-op events, tying
+// server-side work back to the client update that caused it.
 func (m *Monitor) SetOpTrace(tr uint64) { m.opTrace = tr }
 
 // obsStart snapshots the clock and the work counters at the head of an
@@ -104,10 +98,11 @@ func (m *Monitor) obsStart() (time.Time, Stats) {
 }
 
 // done closes an instrumented operation: observe its latency, fold the Stats
-// deltas into the registry counters, refresh the population gauges, emit a
-// trace span carrying the operation's probe/reevaluation cost, detect slow
-// operations, and clear the ledger's per-op attribution context.
-func (o *monObs) done(m *Monitor, op string, h *obs.Histogram, start time.Time, before Stats) {
+// deltas into the registry counters, refresh the population gauges, record a
+// span carrying the operation's probe/reevaluation cost, detect slow
+// operations, and clear the ledger's per-op attribution context. kind is the
+// op's span kind, "core.<op>".
+func (o *monObs) done(m *Monitor, kind string, h *obs.Histogram, start time.Time, before Stats) {
 	dur := time.Since(start) //lint:allow wallclock latency instrumentation, never in output
 	h.Observe(dur.Seconds())
 	d := m.stats
@@ -127,48 +122,50 @@ func (o *monObs) done(m *Monitor, op string, h *obs.Histogram, start time.Time, 
 	o.lg.wireFolded = o.lg.wireTotal
 	o.qRetired.Add(o.lg.retiredN - o.lg.retiredFolded)
 	o.lg.retiredFolded = o.lg.retiredN
-	o.tr.SpanTr("core", op, m.opTrace, start,
-		"probes", d.Probes-before.Probes,
-		"reevals", d.Reevaluations-before.Reevaluations)
+	ts := start.UnixNano()
+	o.fr.Record(obs.Event{TS: ts, Dur: dur.Nanoseconds(), Kind: kind, Trace: m.opTrace,
+		Args: [2]int64{d.Probes - before.Probes, d.Reevaluations - before.Reevaluations}})
 	if m.slowThresh > 0 && dur >= m.slowThresh {
 		o.qSlowOps.Inc()
-		if m.slowW != nil {
-			m.writeSlowOp(op, dur, d, before)
-		}
-		m.flight.Record(obs.FlightEvent{
-			Kind: obs.FlightSlowOp, Trace: m.opTrace,
-			DurNS: dur.Nanoseconds(), Note: op,
-		})
+		m.slowOp(kind[len("core."):], ts, dur, d, before)
 	}
 	o.lg.opEnd()
 }
 
-// noteProbe emits the decision-level probe event (the counter is folded in
+// noteProbe records the decision-level probe event (the counter is folded in
 // at operation end from the Stats delta) and bills it to the focused query.
 func (m *Monitor) noteProbe(id uint64) {
 	if m.mobs != nil {
-		m.mobs.tr.InstantTr("core", "probe", m.opTrace, "obj", int64(id), "", 0)
+		m.mobs.fr.Record(obs.Event{Kind: obs.KindCoreProbe, Trace: m.opTrace, Obj: id})
 		m.mobs.lg.noteProbe(id)
 	}
 }
 
 // noteProbeAvoided counts an ambiguity resolved without a real probe and
-// emits its trace marker.
+// records its event.
 func (m *Monitor) noteProbeAvoided(id uint64) {
 	m.stats.ProbesAvoided++
 	if m.mobs != nil {
-		m.mobs.tr.InstantTr("core", "probe-avoided", m.opTrace, "obj", int64(id), "", 0)
+		m.mobs.fr.Record(obs.Event{Kind: obs.KindCoreProbeAvoided, Trace: m.opTrace, Obj: id})
 		m.mobs.lg.noteProbeAvoided()
 	}
 }
 
-// noteShrink emits the safe-region shrink event of a reachability-circle
-// virtual probe; the event name carries the shrink reason.
+// noteShrink records the safe-region shrink event of a reachability-circle
+// virtual probe; the event kind carries the shrink reason.
 func (m *Monitor) noteShrink(id uint64) {
 	if m.mobs != nil {
-		m.mobs.tr.InstantTr("core", "sr-shrink-reachability", m.opTrace, "obj", int64(id), "", 0)
+		m.mobs.fr.Record(obs.Event{Kind: obs.KindCoreShrink, Trace: m.opTrace, Obj: id})
 		m.mobs.lg.noteShrink(id)
 	}
+}
+
+// noteReevaluate records the span of one query's incremental reevaluation,
+// begun at t0, and ends the ledger's focus on that query.
+func (m *Monitor) noteReevaluate(q *query.Query, t0 time.Time) {
+	m.mobs.fr.Record(obs.Event{TS: t0.UnixNano(), Dur: time.Since(t0).Nanoseconds(), //lint:allow wallclock latency instrumentation, never in output
+		Kind: obs.KindCoreReevaluate, Trace: m.opTrace, Query: uint64(q.ID), Args: [2]int64{int64(q.Kind)}})
+	m.mobs.lg.unfocus()
 }
 
 // noteKNNCase records which §4.3 incremental case an order-sensitive kNN
@@ -176,7 +173,8 @@ func (m *Monitor) noteShrink(id uint64) {
 func (m *Monitor) noteKNNCase(q *query.Query, c int) {
 	if m.mobs != nil {
 		m.mobs.knnCase[c-1].Inc()
-		m.mobs.tr.InstantTr("core", "knn-case", m.opTrace, "case", int64(c), "query", int64(q.ID))
+		m.mobs.fr.Record(obs.Event{Kind: obs.KindCoreKNNCase, Trace: m.opTrace, Query: uint64(q.ID),
+			Args: [2]int64{int64(c)}})
 		m.mobs.lg.noteKNNCase(q, c)
 	}
 }

@@ -45,7 +45,7 @@ func driveObsWorkload(t *testing.T, w *world) {
 // the gauges track the populations, and that the op histograms saw every
 // instrumented operation.
 func TestObsCountersMirrorStats(t *testing.T) {
-	sink := obs.NewSink(obs.NewRegistry(), obs.NewTracer(obs.DefaultTraceDepth))
+	sink := obs.NewSink(obs.NewRegistry(), obs.NewFlightRecorder(0, ""))
 	w := newWorld(t, Options{GridM: 10, Space: geom.R(0, 0, 100, 100)})
 	w.mon.SetObs(sink)
 	driveObsWorkload(t, w)
@@ -101,18 +101,18 @@ func TestObsCountersMirrorStats(t *testing.T) {
 	if knn == 0 {
 		t.Error("no srb_knn_case_total increments after 200 moves")
 	}
-	// The tracer saw decision-level events from the workload.
-	tr := sink.Tracer()
-	if tr.Total() == 0 {
-		t.Fatal("tracer recorded no events")
+	// The ring saw decision-level events from the workload.
+	fr := sink.Recorder()
+	if fr.Total() == 0 {
+		t.Fatal("ring recorded no events")
 	}
-	names := map[string]bool{}
-	for _, e := range tr.Events() {
-		names[e.Name] = true
+	kinds := map[string]bool{}
+	for _, e := range fr.Events() {
+		kinds[e.Kind] = true
 	}
-	for _, want := range []string{"update", "reevaluate"} {
-		if !names[want] {
-			t.Errorf("trace has no %q event; got %v", want, names)
+	for _, want := range []string{obs.KindCoreUpdate, obs.KindCoreReevaluate} {
+		if !kinds[want] {
+			t.Errorf("ring has no %q event; got %v", want, kinds)
 		}
 	}
 	// The whole state round-trips through the text exposition.
@@ -133,7 +133,7 @@ func TestObsNilSinkIsNeutral(t *testing.T) {
 	driveObsWorkload(t, plain)
 
 	inst := newWorld(t, Options{GridM: 10, Space: geom.R(0, 0, 100, 100)})
-	inst.mon.SetObs(obs.NewSink(obs.NewRegistry(), obs.NewTracer(256)))
+	inst.mon.SetObs(obs.NewSink(obs.NewRegistry(), obs.NewFlightRecorder(256, "")))
 	driveObsWorkload(t, inst)
 
 	if plain.mon.Stats() != inst.mon.Stats() {

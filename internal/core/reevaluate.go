@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"srb/internal/geom"
+	"srb/internal/obs"
 	"srb/internal/query"
 )
 
@@ -68,7 +69,7 @@ func (m *Monitor) Update(id uint64, p geom.Point) []SafeRegionUpdate {
 	}
 	out := m.finishOp(st)
 	if m.mobs != nil {
-		m.mobs.done(m, "update", m.mobs.updSeconds, t0, before)
+		m.mobs.done(m, obs.KindCoreUpdate, m.mobs.updSeconds, t0, before)
 	}
 	m.assertInvariants()
 	return out
@@ -101,8 +102,7 @@ func (m *Monitor) reevaluate(q *query.Query, st *objectState, pLst geom.Point) {
 		m.publish(q)
 	}
 	if m.mobs != nil {
-		m.mobs.tr.SpanTr("core", "reevaluate", m.opTrace, t0, "query", int64(q.ID), "kind", int64(q.Kind))
-		m.mobs.lg.unfocus()
+		m.noteReevaluate(q, t0)
 	}
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,60 +11,39 @@ import (
 	"time"
 )
 
-// FlightEvent is one black-box record: a causal wire event (update received,
-// region granted, probe issued, query registered, session resumed) or an
-// anomaly marker (slow op, dump). The ring of recent FlightEvents is the
-// post-hoc evidence when a server dies or breaches its latency objective.
-type FlightEvent struct {
-	TS    int64  `json:"ts"` // unix nanoseconds
-	Kind  string `json:"kind"`
-	Trace uint64 `json:"trace,omitempty"` // causal trace ID from the wire frame
-	Obj   uint64 `json:"obj,omitempty"`
-	Query uint64 `json:"query,omitempty"`
-	DurNS int64  `json:"dur_ns,omitempty"`
-	Note  string `json:"note,omitempty"`
-}
-
-// Flight-event kinds recorded by the server and monitor layers.
-const (
-	FlightUpdate    = "update"    // location update received off the wire
-	FlightGrant     = "grant"     // safe-region grant pushed to a client
-	FlightProbe     = "probe"     // server-initiated probe issued
-	FlightRegister  = "register"  // query (de)registration processed
-	FlightReconnect = "reconnect" // session resumed or rejoined
-	FlightSlowOp    = "slow_op"   // monitor operation over the slow-op threshold
-	FlightDump      = "dump"      // dump marker carrying the trigger reason
-)
-
 // DefaultFlightDepth is the ring size used when NewFlightRecorder is given a
 // non-positive size.
 const DefaultFlightDepth = 65536
 
-// FlightRecorder is an always-on bounded ring of recent FlightEvents with
-// automatic dumping: TriggerDump hands a reason to a background writer that
-// persists the ring as a timestamped NDJSON file, rate-limited so a breach
-// storm produces one dump, not hundreds. Recording is one short mutex-guarded
-// struct store; a nil *FlightRecorder discards everything, so instrumented
-// code records unconditionally.
+// FlightRecorder is the one event ring: an always-on bounded ring of recent
+// Events with automatic dumping. Every layer records into it; /trace renders
+// it as Chrome trace JSON, /debug/flightrec and dump files as NDJSON.
+// TriggerDump hands a reason to a background writer that persists the ring as
+// a timestamped NDJSON file, rate-limited so a breach storm produces one
+// dump, not hundreds. Recording is one short mutex-guarded struct store, so a
+// reader never sees a torn event; a nil *FlightRecorder discards everything,
+// so instrumented code records unconditionally.
 type FlightRecorder struct {
 	mu       sync.Mutex
-	buf      []FlightEvent
+	buf      []Event
 	n        uint64
+	epoch    int64 // unix nanoseconds at creation: the Chrome view's time zero
 	lastDump time.Time
 	paths    []string // dump files written, oldest first
+	logf     func(format string, args ...interface{})
 
 	dir    string
 	minGap time.Duration
 
-	// dumps carries trigger reasons to the writer goroutine. It is never
-	// closed — TriggerDump may race Close, and a send on a closed channel
-	// panics — so shutdown is signalled on stop instead, and the writer
-	// drains any queued reason before exiting.
-	dumps     chan string
-	stop      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
-	logf      func(format string, args ...interface{})
+	// dumps carries trigger reasons to the writer goroutine, which the first
+	// TriggerDump starts; a recorder that never dumps runs no goroutine.
+	// dumps is never closed — TriggerDump may race Close, and a send on a
+	// closed channel panics — so shutdown is signalled on stop instead, and
+	// the writer drains any queued reason before exiting.
+	dumps  chan string
+	stop   chan struct{}
+	done   chan struct{}
+	closed bool
 }
 
 // NewFlightRecorder creates a recorder retaining the last size events and
@@ -75,18 +53,13 @@ func NewFlightRecorder(size int, dir string) *FlightRecorder {
 	if size <= 0 {
 		size = DefaultFlightDepth
 	}
-	fr := &FlightRecorder{
-		buf:    make([]FlightEvent, size),
+	return &FlightRecorder{
+		buf:    make([]Event, size),
+		epoch:  time.Now().UnixNano(), //lint:allow wallclock flight-recorder timestamps are wall-clock by design
 		dir:    dir,
 		minGap: 5 * time.Second,
-		dumps:  make(chan string, 1),
 		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
 	}
-	// Lifecycle: the writer exits when Close closes fr.stop and signals via
-	// fr.done; dump I/O must not stall the event loop that triggers it.
-	go fr.dumpLoop() //lint:allow goroleak exits when Close closes the stop channel
-	return fr
 }
 
 // SetLogf installs a logger for dump outcomes (nil silences).
@@ -111,7 +84,7 @@ func (fr *FlightRecorder) SetMinGap(d time.Duration) {
 
 // Record appends one event to the ring. A zero TS is stamped with the
 // current wall clock.
-func (fr *FlightRecorder) Record(ev FlightEvent) {
+func (fr *FlightRecorder) Record(ev Event) {
 	if fr == nil {
 		return
 	}
@@ -135,7 +108,7 @@ func (fr *FlightRecorder) Total() uint64 {
 }
 
 // Events returns the retained events, oldest first.
-func (fr *FlightRecorder) Events() []FlightEvent {
+func (fr *FlightRecorder) Events() []Event {
 	if fr == nil {
 		return nil
 	}
@@ -143,9 +116,9 @@ func (fr *FlightRecorder) Events() []FlightEvent {
 	defer fr.mu.Unlock()
 	size := uint64(len(fr.buf))
 	if fr.n <= size {
-		return append([]FlightEvent(nil), fr.buf[:fr.n]...)
+		return append([]Event(nil), fr.buf[:fr.n]...)
 	}
-	out := make([]FlightEvent, 0, size)
+	out := make([]Event, 0, size)
 	start := fr.n % size
 	out = append(out, fr.buf[start:]...)
 	out = append(out, fr.buf[:start]...)
@@ -155,9 +128,10 @@ func (fr *FlightRecorder) Events() []FlightEvent {
 // WriteNDJSON renders the retained events as newline-delimited JSON, oldest
 // first.
 func (fr *FlightRecorder) WriteNDJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
+	var b []byte
 	for _, ev := range fr.Events() {
-		if err := enc.Encode(ev); err != nil {
+		b = ev.AppendNDJSON(b[:0])
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
@@ -167,21 +141,30 @@ func (fr *FlightRecorder) WriteNDJSON(w io.Writer) error {
 // TriggerDump asks the background writer to persist the ring, recording the
 // reason as a dump marker. Rate-limited: triggers inside the minimum gap are
 // dropped, and a trigger arriving while a dump is already queued coalesces
-// into it.
+// into it. The first trigger starts the writer; after Close, triggers are
+// dropped.
 func (fr *FlightRecorder) TriggerDump(reason string) {
 	if fr == nil {
 		return
 	}
 	fr.mu.Lock()
 	now := time.Now() //lint:allow wallclock flight-recorder dump spacing is wall-clock by design
-	if !fr.lastDump.IsZero() && now.Sub(fr.lastDump) < fr.minGap {
+	if fr.closed || (!fr.lastDump.IsZero() && now.Sub(fr.lastDump) < fr.minGap) {
 		fr.mu.Unlock()
 		return
 	}
 	fr.lastDump = now
+	if fr.dumps == nil {
+		fr.dumps = make(chan string, 1)
+		fr.done = make(chan struct{})
+		// Lifecycle: the writer exits when Close closes fr.stop and signals
+		// via fr.done; dump I/O must not stall the event loop that triggers it.
+		go fr.dumpLoop()
+	}
+	dumps := fr.dumps
 	fr.mu.Unlock()
 	select {
-	case fr.dumps <- reason:
+	case dumps <- reason:
 	default: // a queued dump will carry this window's evidence too
 	}
 }
@@ -194,7 +177,7 @@ func (fr *FlightRecorder) DumpFile(reason string) (string, error) {
 	if fr == nil {
 		return "", fmt.Errorf("obs: no flight recorder")
 	}
-	fr.Record(FlightEvent{Kind: FlightDump, Note: reason})
+	fr.Record(Event{Kind: FlightDump, Note: reason})
 	dir := fr.dir
 	if dir == "" {
 		dir = "."
@@ -270,17 +253,25 @@ func (fr *FlightRecorder) writeDump(reason string) {
 	}
 }
 
-// Close stops the background writer after draining any queued dump. The
-// recorder keeps accepting Record and TriggerDump calls afterwards (a
-// post-Close trigger is simply never written); only automatic dumping stops.
+// Close stops the background writer, if a trigger started one, after
+// draining any queued dump. The recorder keeps accepting Record calls
+// afterwards; only automatic dumping stops.
 func (fr *FlightRecorder) Close() {
 	if fr == nil {
 		return
 	}
-	fr.closeOnce.Do(func() {
-		close(fr.stop)
-		<-fr.done
-	})
+	fr.mu.Lock()
+	if fr.closed {
+		fr.mu.Unlock()
+		return
+	}
+	fr.closed = true
+	done := fr.done
+	fr.mu.Unlock()
+	close(fr.stop)
+	if done != nil {
+		<-done
+	}
 }
 
 // ServeHTTP serves the current ring as NDJSON, so a FlightRecorder can be

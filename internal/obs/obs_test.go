@@ -13,7 +13,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var tr *Tracer
+	var fr *FlightRecorder
 	var r *Registry
 	var s *Sink
 	c.Inc()
@@ -21,9 +21,8 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Set(1)
 	h.Observe(1)
 	h.ObserveSince(time.Now())
-	tr.Span("a", "b", time.Now(), "", 0, "", 0)
-	tr.Instant("a", "b", "", 0, "", 0)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Total() != 0 {
+	fr.Record(Event{Kind: KindCoreProbe})
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || fr.Total() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "", nil) != nil {
@@ -33,11 +32,11 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if err := r.WriteText(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Registry() != nil || s.Tracer() != nil {
+	if s.Registry() != nil || s.Recorder() != nil {
 		t.Fatal("nil sink must expose nil parts")
 	}
-	if tr.Events() != nil {
-		t.Fatal("nil tracer must dump no events")
+	if fr.Events() != nil {
+		t.Fatal("nil recorder must dump no events")
 	}
 }
 
@@ -186,7 +185,7 @@ func TestConcurrentInstrumentUse(t *testing.T) {
 	c := r.Counter("srb_conc_total", "h")
 	h := r.Histogram("srb_conc_seconds", "h", LatencyBuckets())
 	g := r.Gauge("srb_conc_gauge", "h")
-	tr := NewTracer(64)
+	fr := NewFlightRecorder(64, "")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -196,7 +195,7 @@ func TestConcurrentInstrumentUse(t *testing.T) {
 				c.Inc()
 				h.Observe(float64(i) * 1e-6)
 				g.Set(float64(i))
-				tr.Instant("t", "tick", "w", int64(w), "", 0)
+				fr.Record(Event{Kind: KindCoreProbe, Obj: uint64(w)})
 			}
 		}(w)
 	}
@@ -209,7 +208,7 @@ func TestConcurrentInstrumentUse(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			tr.Events()
+			fr.Events()
 		}
 	}()
 	wg.Wait()
@@ -220,35 +219,35 @@ func TestConcurrentInstrumentUse(t *testing.T) {
 	if h.Count() != 4000 {
 		t.Fatalf("histogram count = %d, want 4000", h.Count())
 	}
-	if tr.Total() != 4000 {
-		t.Fatalf("tracer total = %d, want 4000", tr.Total())
+	if fr.Total() != 4000 {
+		t.Fatalf("recorder total = %d, want 4000", fr.Total())
 	}
-	if tr.Dropped() != 4000-64 {
-		t.Fatalf("tracer dropped = %d, want %d", tr.Dropped(), 4000-64)
+	if n := len(fr.Events()); n != 64 {
+		t.Fatalf("recorder retained %d events, want ring size 64", n)
 	}
 }
 
 func TestTracerRingAndChromeExport(t *testing.T) {
-	tr := NewTracer(4)
+	fr := NewFlightRecorder(4, "")
 	start := time.Now()
-	tr.Span("core", "update", start, "probes", 2, "reevals", 3)
+	fr.Record(Event{TS: start.UnixNano(), Dur: time.Since(start).Nanoseconds() + 1, Kind: KindCoreUpdate, Args: [2]int64{2, 3}})
 	for i := 0; i < 5; i++ {
-		tr.Instant("core", "probe", "obj", int64(i), "", 0)
+		fr.Record(Event{Kind: KindCoreProbe, Obj: uint64(i)})
 	}
-	evs := tr.Events()
+	evs := fr.Events()
 	if len(evs) != 4 {
 		t.Fatalf("retained %d events, want ring size 4", len(evs))
 	}
 	// The span and the first instant were overwritten; oldest retained is obj=1.
-	if evs[0].Name != "probe" || evs[0].V1 != 1 {
+	if evs[0].Kind != KindCoreProbe || evs[0].Obj != 1 {
 		t.Fatalf("oldest retained = %+v, want probe obj=1", evs[0])
 	}
-	if tr.Total() != 6 || tr.Dropped() != 2 {
-		t.Fatalf("total/dropped = %d/%d, want 6/2", tr.Total(), tr.Dropped())
+	if fr.Total() != 6 {
+		t.Fatalf("total = %d, want 6", fr.Total())
 	}
 
 	var sb strings.Builder
-	if err := tr.WriteChromeTrace(&sb); err != nil {
+	if err := fr.WriteChromeTrace(&sb); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -267,22 +266,36 @@ func TestTracerRingAndChromeExport(t *testing.T) {
 	if len(out.TraceEvents) != 4 {
 		t.Fatalf("chrome trace has %d events, want 4", len(out.TraceEvents))
 	}
-	for _, e := range out.TraceEvents {
-		if e.Ph != "i" && e.Ph != "X" {
-			t.Errorf("unexpected phase %q", e.Ph)
+	for i, e := range out.TraceEvents {
+		if e.Ph != "i" || e.Cat != "core" || e.Name != "probe" {
+			t.Errorf("event %d: ph/cat/name = %q/%q/%q, want i/core/probe", i, e.Ph, e.Cat, e.Name)
 		}
-		if e.Cat != "core" {
-			t.Errorf("unexpected cat %q", e.Cat)
+		if e.Args["obj"] != int64(i+1) {
+			t.Errorf("event %d: args %v, want obj=%d", i, e.Args, i+1)
 		}
+	}
+
+	// A wire-level kind has no layer prefix and shows under "flight".
+	fr.Record(Event{Kind: FlightGrant, Trace: 9, Obj: 4})
+	sb.Reset()
+	if err := fr.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
+		t.Fatal(err)
+	}
+	last := out.TraceEvents[len(out.TraceEvents)-1]
+	if last.Cat != "flight" || last.Name != "grant" || last.Args["trace"] != 9 || last.Args["obj"] != 4 {
+		t.Fatalf("wire event rendered as %+v", last)
 	}
 }
 
 func TestTracerSpanPhases(t *testing.T) {
-	tr := NewTracer(8)
+	fr := NewFlightRecorder(8, "")
 	start := time.Now().Add(-time.Millisecond)
-	tr.Span("batch", "plan", start, "updates", 10, "", 0)
+	fr.Record(Event{TS: start.UnixNano(), Dur: time.Since(start).Nanoseconds(), Kind: KindBatchPlan, Args: [2]int64{10, 7}})
 	var sb strings.Builder
-	if err := tr.WriteChromeTrace(&sb); err != nil {
+	if err := fr.WriteChromeTrace(&sb); err != nil {
 		t.Fatal(err)
 	}
 	var out map[string]interface{}
@@ -291,14 +304,26 @@ func TestTracerSpanPhases(t *testing.T) {
 	}
 	evs := out["traceEvents"].([]interface{})
 	ev := evs[0].(map[string]interface{})
-	if ev["ph"] != "X" {
-		t.Fatalf("span phase = %v, want X", ev["ph"])
+	if ev["ph"] != "X" || ev["cat"] != "batch" || ev["name"] != "plan" {
+		t.Fatalf("span ph/cat/name = %v/%v/%v, want X/batch/plan", ev["ph"], ev["cat"], ev["name"])
 	}
 	if dur, ok := ev["dur"].(float64); !ok || dur < 900 {
 		t.Fatalf("span dur = %v µs, want >= 900 (1ms sleep)", ev["dur"])
 	}
-	if args := ev["args"].(map[string]interface{}); args["updates"].(float64) != 10 {
+	if args := ev["args"].(map[string]interface{}); args["updates"].(float64) != 10 || args["planned"].(float64) != 7 {
 		t.Fatalf("span args = %v", args)
+	}
+	// The NDJSON view of the same span carries the named arguments.
+	var buf strings.Builder
+	if err := fr.WriteNDJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var line map[string]interface{}
+	if err := json.Unmarshal([]byte(buf.String()), &line); err != nil {
+		t.Fatalf("NDJSON line does not parse: %v (%q)", err, buf.String())
+	}
+	if line["kind"] != KindBatchPlan || line["updates"].(float64) != 10 || line["dur_ns"].(float64) <= 0 {
+		t.Fatalf("NDJSON span = %v", line)
 	}
 }
 
@@ -313,5 +338,34 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 		if _, err := ParseText(strings.NewReader(c)); err == nil {
 			t.Errorf("ParseText accepted malformed input %q", c)
 		}
+	}
+}
+
+// TestEventNDJSONDecodes renders one event of every kind with arguments, plus
+// a slow op, and checks each line decodes back into an Event with its fixed
+// fields intact: an argument name that shadowed a fixed key would corrupt
+// the line for every NDJSON reader.
+func TestEventNDJSONDecodes(t *testing.T) {
+	evs := []Event{{Kind: FlightSlowOp, Trace: 5, Dur: 9, Note: "update",
+		Slow: &SlowOp{Probes: 1, Reevals: 2, SafeRegions: 3, ResultChanges: 4, Chain: []uint64{7, 8}}}}
+	for kind := range argNames {
+		evs = append(evs, Event{Kind: kind, Trace: 5, Obj: 6, Query: 7, Dur: 9, Note: "n\"q", Args: [2]int64{-1, 2}})
+	}
+	fixed := map[string]bool{"ts": true, "kind": true, "trace": true, "obj": true, "query": true, "dur_ns": true, "note": true, "chain": true}
+	for _, ev := range evs {
+		ev.TS = 1
+		line := ev.AppendNDJSON(nil)
+		var back Event
+		if err := json.Unmarshal(line, &back); err != nil {
+			t.Fatalf("%s: line does not decode: %v (%s)", ev.Kind, err, line)
+		}
+		if back.TS != 1 || back.Kind != ev.Kind || back.Trace != 5 || back.Dur != 9 || back.Note != ev.Note {
+			t.Errorf("%s: decoded %+v from %s", ev.Kind, back, line)
+		}
+		ev.ints(func(k string, _ int64) {
+			if fixed[k] {
+				t.Errorf("%s: argument %q shadows a fixed key", ev.Kind, k)
+			}
+		})
 	}
 }

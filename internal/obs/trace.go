@@ -4,183 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
+	"strings"
 )
-
-// Event is one decision-level trace record: a completed span (Dur > 0) or an
-// instant marker. Up to two integer arguments ride along under fixed keys so
-// emitting an event never allocates. Tr carries the causal trace ID minted at
-// the client update/register site (0 when the event is not part of a causal
-// chain), letting one wire update's whole server-side chain be filtered out
-// of the Chrome trace.
-type Event struct {
-	TS   int64 // nanoseconds since the tracer's epoch
-	Dur  int64 // span duration in nanoseconds; 0 marks an instant event
-	Cat  string
-	Name string
-	Tr   uint64 // causal trace ID; 0 when unrelated to a wire op
-	K1   string // "" when unused
-	V1   int64
-	K2   string
-	V2   int64
-}
-
-// Tracer records recent events into a bounded ring buffer that is safe for
-// fully concurrent writers and readers. A writer reserves a slot with one
-// atomic increment and copies its event under that slot's private mutex; a
-// sequence stamp per slot makes the newest reservation win, so a delayed
-// writer that lost its slot to a wrap can never interleave a torn or stale
-// event into the export. Readers (Events, WriteChromeTrace) lock each slot
-// individually and order the survivors by sequence, so they see only complete
-// events and never block the whole ring.
-//
-// A nil Tracer discards all events, so instrumented code can emit
-// unconditionally behind a single enabled-check.
-type Tracer struct {
-	n     atomic.Uint64 // total reservations ever made
-	slots []traceSlot
-	epoch time.Time
-}
-
-// traceSlot is one ring entry: the event plus the 1-based reservation index
-// that wrote it (0 = never written). The per-slot mutex makes the pair
-// atomic with respect to readers and competing delayed writers.
-type traceSlot struct {
-	mu  sync.Mutex
-	seq uint64
-	ev  Event
-}
-
-// DefaultTraceDepth is the ring size used when NewTracer is given a
-// non-positive size.
-const DefaultTraceDepth = 16384
-
-// NewTracer creates a tracer retaining the last size events.
-func NewTracer(size int) *Tracer {
-	if size <= 0 {
-		size = DefaultTraceDepth
-	}
-	return &Tracer{slots: make([]traceSlot, size), epoch: time.Now()} //lint:allow wallclock trace timestamps are wall-clock by design
-}
-
-func (t *Tracer) emit(e Event) {
-	idx := t.n.Add(1)
-	s := &t.slots[(idx-1)%uint64(len(t.slots))]
-	s.mu.Lock()
-	// Newest reservation wins: if a later writer wrapped around and already
-	// claimed this slot, a delayed older writer must not clobber it.
-	if idx > s.seq {
-		s.seq = idx
-		s.ev = e
-	}
-	s.mu.Unlock()
-}
-
-// Span records a completed operation that began at start. Unused argument
-// slots take an empty key.
-func (t *Tracer) Span(cat, name string, start time.Time, k1 string, v1 int64, k2 string, v2 int64) {
-	t.SpanTr(cat, name, 0, start, k1, v1, k2, v2)
-}
-
-// SpanTr records a completed operation tagged with a causal trace ID.
-func (t *Tracer) SpanTr(cat, name string, tr uint64, start time.Time, k1 string, v1 int64, k2 string, v2 int64) {
-	if t == nil {
-		return
-	}
-	now := time.Now() //lint:allow wallclock trace timestamps are wall-clock by design
-	t.emit(Event{
-		TS:  start.Sub(t.epoch).Nanoseconds(),
-		Dur: now.Sub(start).Nanoseconds(),
-		Cat: cat, Name: name, Tr: tr, K1: k1, V1: v1, K2: k2, V2: v2,
-	})
-}
-
-// SpanBetween records a completed operation with explicit endpoints, for
-// phases whose end is not the emit time (e.g. a pipeline phase reported after
-// the following phase finished).
-func (t *Tracer) SpanBetween(cat, name string, start, end time.Time, k1 string, v1 int64, k2 string, v2 int64) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{
-		TS:  start.Sub(t.epoch).Nanoseconds(),
-		Dur: end.Sub(start).Nanoseconds(),
-		Cat: cat, Name: name, K1: k1, V1: v1, K2: k2, V2: v2,
-	})
-}
-
-// Instant records a point-in-time marker.
-func (t *Tracer) Instant(cat, name, k1 string, v1 int64, k2 string, v2 int64) {
-	t.InstantTr(cat, name, 0, k1, v1, k2, v2)
-}
-
-// InstantTr records a point-in-time marker tagged with a causal trace ID.
-func (t *Tracer) InstantTr(cat, name string, tr uint64, k1 string, v1 int64, k2 string, v2 int64) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{
-		TS:  time.Since(t.epoch).Nanoseconds(), //lint:allow wallclock trace timestamps are wall-clock by design
-		Cat: cat, Name: name, Tr: tr, K1: k1, V1: v1, K2: k2, V2: v2,
-	})
-}
-
-// Total returns how many events were ever emitted; Dropped how many of those
-// have been overwritten.
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.n.Load()
-}
-
-// Dropped returns the number of events lost to ring overwrites. Under
-// concurrent wrapping a handful of additional events may have been discarded
-// by slot races; the figure is exact for serialized emitters.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	n := t.n.Load()
-	if n <= uint64(len(t.slots)) {
-		return 0
-	}
-	return n - uint64(len(t.slots))
-}
-
-// Events returns the retained events, oldest first. Each event is read
-// atomically with its sequence stamp, so concurrent writers can wrap the ring
-// during the scan without a torn record appearing in the output.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	type rec struct {
-		seq uint64
-		ev  Event
-	}
-	recs := make([]rec, 0, len(t.slots))
-	for i := range t.slots {
-		s := &t.slots[i]
-		s.mu.Lock()
-		if s.seq != 0 {
-			recs = append(recs, rec{s.seq, s.ev})
-		}
-		s.mu.Unlock()
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
-	out := make([]Event, len(recs))
-	for i, r := range recs {
-		out[i] = r.ev
-	}
-	return out
-}
 
 // chromeEvent is one entry of the Chrome trace-event JSON format, loadable in
 // chrome://tracing and Perfetto (https://ui.perfetto.dev).
@@ -188,7 +13,7 @@ type chromeEvent struct {
 	Name string           `json:"name"`
 	Cat  string           `json:"cat"`
 	Ph   string           `json:"ph"`
-	TS   float64          `json:"ts"` // microseconds
+	TS   float64          `json:"ts"` // microseconds since the recorder's creation
 	Dur  *float64         `json:"dur,omitempty"`
 	Pid  int              `json:"pid"`
 	Tid  int              `json:"tid"`
@@ -201,19 +26,20 @@ type chromeTrace struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 }
 
-// WriteChromeTrace renders the retained events as Chrome trace-event JSON.
-// Events carrying a causal trace ID expose it as the "trace" arg, so one wire
-// update's full chain is one search away in the trace viewer.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	evs := t.Events()
+// WriteChromeTrace renders the retained events as Chrome trace-event JSON: a
+// span (Dur > 0) as a complete event, anything else as an instant. A prefixed
+// kind ("core.update") splits into category and name; an unprefixed
+// wire-level kind gets the category "flight". The integer fields become args,
+// the causal trace ID among them as "trace", so one wire update's whole chain
+// is one search away in the trace viewer.
+func (fr *FlightRecorder) WriteChromeTrace(w io.Writer) error {
+	evs := fr.Events()
 	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: make([]chromeEvent, 0, len(evs))}
-	for _, e := range evs {
-		ce := chromeEvent{
-			Name: e.Name,
-			Cat:  e.Cat,
-			TS:   float64(e.TS) / 1e3,
-			Pid:  1,
-			Tid:  1,
+	for i := range evs {
+		e := &evs[i]
+		ce := chromeEvent{Cat: "flight", Name: e.Kind, TS: float64(e.TS-fr.epoch) / 1e3, Pid: 1, Tid: 1}
+		if cat, name, ok := strings.Cut(e.Kind, "."); ok {
+			ce.Cat, ce.Name = cat, name
 		}
 		if e.Dur > 0 {
 			ce.Ph = "X"
@@ -223,50 +49,51 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			ce.Ph = "i"
 			ce.S = "g"
 		}
-		if e.K1 != "" || e.K2 != "" || e.Tr != 0 {
-			ce.Args = make(map[string]int64, 3)
-			if e.K1 != "" {
-				ce.Args[e.K1] = e.V1
-			}
-			if e.K2 != "" {
-				ce.Args[e.K2] = e.V2
-			}
-			if e.Tr != 0 {
-				ce.Args["trace"] = int64(e.Tr)
-			}
+		args := make(map[string]int64)
+		e.ints(func(k string, v int64) { args[k] = v })
+		if e.Obj != 0 {
+			args["obj"] = int64(e.Obj)
+		}
+		if e.Query != 0 {
+			args["query"] = int64(e.Query)
+		}
+		if e.Trace != 0 {
+			args["trace"] = int64(e.Trace)
+		}
+		if len(args) > 0 {
+			ce.Args = args
 		}
 		out.TraceEvents = append(out.TraceEvents, ce)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return json.NewEncoder(w).Encode(out)
 }
 
-// ServeHTTP serves the Chrome trace JSON, so a Tracer can be mounted
-// directly on a mux (e.g. under /trace).
-func (t *Tracer) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	if t == nil {
+// ServeChromeTrace serves the ring as Chrome trace JSON; mount it with
+// mux.HandleFunc (e.g. under /trace).
+func (fr *FlightRecorder) ServeChromeTrace(w http.ResponseWriter, _ *http.Request) {
+	if fr == nil {
 		http.Error(w, "tracing disabled", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="srb-trace.json"`)
 	// A failed write means the downloader went away; nothing to do here.
-	_ = t.WriteChromeTrace(w) //lint:allow errdrop client disconnect is not actionable
+	_ = fr.WriteChromeTrace(w) //lint:allow errdrop client disconnect is not actionable
 }
 
-// Sink bundles a metrics Registry and a Tracer into the single handle
+// Sink bundles a metrics Registry and the event ring into the single handle
 // instrumented components accept. A nil *Sink (and a Sink with nil parts) is
-// fully operational as "observability off": Registry() and Tracer() return
+// fully operational as "observability off": Registry() and Recorder() return
 // nil, which every downstream constructor and instrument tolerates.
 type Sink struct {
 	reg *Registry
-	tr  *Tracer
+	fr  *FlightRecorder
 }
 
-// NewSink bundles a registry and tracer; either may be nil to enable only
+// NewSink bundles a registry and a ring; either may be nil to enable only
 // the other half.
-func NewSink(reg *Registry, tr *Tracer) *Sink {
-	return &Sink{reg: reg, tr: tr}
+func NewSink(reg *Registry, fr *FlightRecorder) *Sink {
+	return &Sink{reg: reg, fr: fr}
 }
 
 // Registry returns the sink's registry, or nil.
@@ -277,10 +104,10 @@ func (s *Sink) Registry() *Registry {
 	return s.reg
 }
 
-// Tracer returns the sink's tracer, or nil.
-func (s *Sink) Tracer() *Tracer {
+// Recorder returns the sink's event ring, or nil.
+func (s *Sink) Recorder() *FlightRecorder {
 	if s == nil {
 		return nil
 	}
-	return s.tr
+	return s.fr
 }

@@ -11,37 +11,33 @@ import (
 	"time"
 )
 
-// stressNames maps a payload value to the event name a writer must have used,
+// stressNames maps a payload value to the event kind a writer must have used,
 // giving readers an internal-consistency relation to detect torn events: for
-// every observed event, Name, V1 and V2 must all derive from the same value.
+// every observed event, Kind, Trace, Obj and both Args must all derive from
+// the same value.
 var stressNames = [3]string{"alpha", "beta", "gamma"}
 
 // TestTracerConcurrentWrapNoTornEvents hammers a tiny ring with concurrent
-// Span/Instant writers — every emit wraps the ring — while readers
-// continuously export. Every observed event must be internally consistent
-// (payload fields all from one writer) and the retained window must stay
-// ordered and bounded. Run under -race this also pins the memory-safety of
-// the slot protocol.
+// span and instant writers — every record wraps the ring — while readers
+// continuously export both views. Every observed event must be internally
+// consistent (payload fields all from one writer) and the retained window
+// must stay bounded. Run under -race this also pins the memory-safety of the
+// ring's single mutex.
 func TestTracerConcurrentWrapNoTornEvents(t *testing.T) {
 	const (
 		ringSize = 8
 		writers  = 8
 		iters    = 2000
 	)
-	tr := NewTracer(ringSize)
+	fr := NewFlightRecorder(ringSize, "")
 
 	check := func(e Event) {
-		if e.K1 != "a" || e.K2 != "b" {
-			t.Errorf("torn event: keys %q/%q", e.K1, e.K2)
+		v := int64(e.Trace)
+		if e.Args[0] != v || e.Args[1] != v || e.Obj != e.Trace {
+			t.Errorf("torn event: trace=%d obj=%d args=%v", e.Trace, e.Obj, e.Args)
 		}
-		if e.V1 != e.V2 {
-			t.Errorf("torn event: V1=%d V2=%d", e.V1, e.V2)
-		}
-		if want := stressNames[e.V1%3]; e.Name != want {
-			t.Errorf("torn event: name %q does not match payload %d (want %q)", e.Name, e.V1, want)
-		}
-		if uint64(e.V1) != e.Tr {
-			t.Errorf("torn event: trace %d does not match payload %d", e.Tr, e.V1)
+		if want := stressNames[v%3]; e.Kind != want {
+			t.Errorf("torn event: kind %q does not match payload %d (want %q)", e.Kind, v, want)
 		}
 	}
 
@@ -57,15 +53,18 @@ func TestTracerConcurrentWrapNoTornEvents(t *testing.T) {
 					return
 				default:
 				}
-				evs := tr.Events()
+				evs := fr.Events()
 				if len(evs) > ringSize {
 					t.Errorf("retained %d events, ring size %d", len(evs), ringSize)
 				}
 				for _, e := range evs {
 					check(e)
 				}
-				if err := tr.WriteChromeTrace(io.Discard); err != nil {
+				if err := fr.WriteChromeTrace(io.Discard); err != nil {
 					t.Errorf("chrome export: %v", err)
+				}
+				if err := fr.WriteNDJSON(io.Discard); err != nil {
+					t.Errorf("ndjson export: %v", err)
 				}
 			}
 		}()
@@ -79,12 +78,11 @@ func TestTracerConcurrentWrapNoTornEvents(t *testing.T) {
 			start := time.Now()
 			for i := 0; i < iters; i++ {
 				v := int64(w*iters + i)
-				name := stressNames[v%3]
-				if i%2 == 0 {
-					tr.InstantTr("stress", name, uint64(v), "a", v, "b", v)
-				} else {
-					tr.SpanTr("stress", name, uint64(v), start, "a", v, "b", v)
+				ev := Event{Kind: stressNames[v%3], Trace: uint64(v), Obj: uint64(v), Args: [2]int64{v, v}}
+				if i%2 == 1 {
+					ev.TS, ev.Dur = start.UnixNano(), time.Since(start).Nanoseconds()+1
 				}
+				fr.Record(ev)
 			}
 		}(w)
 	}
@@ -92,12 +90,12 @@ func TestTracerConcurrentWrapNoTornEvents(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if got, want := tr.Total(), uint64(writers*iters); got != want {
-		t.Fatalf("total = %d, want %d (no emit may be lost from the count)", got, want)
+	if got, want := fr.Total(), uint64(writers*iters); got != want {
+		t.Fatalf("total = %d, want %d (no record may be lost from the count)", got, want)
 	}
-	evs := tr.Events()
-	if len(evs) == 0 || len(evs) > ringSize {
-		t.Fatalf("retained %d events after quiescence, want 1..%d", len(evs), ringSize)
+	evs := fr.Events()
+	if len(evs) != ringSize {
+		t.Fatalf("retained %d events after quiescence, want %d", len(evs), ringSize)
 	}
 	for _, e := range evs {
 		check(e)
@@ -105,7 +103,7 @@ func TestTracerConcurrentWrapNoTornEvents(t *testing.T) {
 
 	// The final export must be valid JSON with the trace IDs surfaced.
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := fr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -117,7 +115,7 @@ func TestTracerConcurrentWrapNoTornEvents(t *testing.T) {
 		t.Fatalf("chrome trace is not valid JSON: %v", err)
 	}
 	for _, ce := range out.TraceEvents {
-		if ce.Args["trace"] != ce.Args["a"] {
+		if ce.Args["trace"] != ce.Args["obj"] {
 			t.Fatalf("chrome args lost the trace correlation: %v", ce.Args)
 		}
 	}
@@ -129,9 +127,12 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 	dir := t.TempDir()
 	fr := NewFlightRecorder(4, dir)
 	defer fr.Close()
+	if fr.done != nil {
+		t.Fatal("a recorder that has not dumped must not run a writer goroutine")
+	}
 
 	for i := 0; i < 6; i++ {
-		fr.Record(FlightEvent{Kind: FlightUpdate, Obj: uint64(i), Trace: uint64(100 + i)})
+		fr.Record(Event{Kind: FlightUpdate, Obj: uint64(i), Trace: uint64(100 + i)})
 	}
 	evs := fr.Events()
 	if len(evs) != 4 {
@@ -157,7 +158,7 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("NDJSON has %d lines, want 4", len(lines))
 	}
-	var ev FlightEvent
+	var ev Event
 	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
 		t.Fatalf("NDJSON line does not parse: %v", err)
 	}
@@ -176,7 +177,7 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 	}
 	var sawMarker bool
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var e FlightEvent
+		var e Event
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			t.Fatalf("dump line does not parse: %v (%q)", err, line)
 		}
@@ -211,7 +212,7 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 // TestFlightRecorderNil pins nil-safety: a nil recorder discards everything.
 func TestFlightRecorderNil(t *testing.T) {
 	var fr *FlightRecorder
-	fr.Record(FlightEvent{Kind: FlightUpdate})
+	fr.Record(Event{Kind: FlightUpdate})
 	fr.TriggerDump("x")
 	fr.SetMinGap(time.Second)
 	fr.SetLogf(nil)

@@ -12,7 +12,7 @@ import (
 // into the parallel plan phase and the serial apply phase; the fraction gauge
 // tracks the cumulative share of updates that validated onto the fast path.
 type pipeObs struct {
-	tr *obs.Tracer
+	fr *obs.FlightRecorder
 
 	batches  *obs.Counter
 	updates  *obs.Counter
@@ -30,12 +30,12 @@ type pipeObs struct {
 // SetObs attaches an observability sink to the pipeline (nil detaches). Like
 // Apply, it must be serialized with every other pipeline call.
 func (p *Pipeline) SetObs(sink *obs.Sink) {
-	if sink == nil || (sink.Registry() == nil && sink.Tracer() == nil) {
+	if sink == nil || (sink.Registry() == nil && sink.Recorder() == nil) {
 		p.obs = nil
 		return
 	}
 	r := sink.Registry()
-	o := &pipeObs{tr: sink.Tracer()}
+	o := &pipeObs{fr: sink.Recorder()}
 	o.batches = r.Counter("srb_batch_batches_total", "Update batches processed by the parallel pipeline.")
 	o.updates = r.Counter("srb_batch_updates_total", "Location updates processed through batches.")
 	o.planned = r.Counter("srb_batch_planned_total", "Updates precomputed by the parallel plan phase.")
@@ -50,8 +50,8 @@ func (p *Pipeline) SetObs(sink *obs.Sink) {
 }
 
 // done closes one instrumented batch: phase latencies, Stats deltas, the
-// cumulative fast-path fraction, and plan/apply trace spans sized by the
-// batch's outcome.
+// cumulative fast-path fraction, and plan/apply spans sized by the batch's
+// outcome.
 func (o *pipeObs) done(p *Pipeline, before Stats, t0, planDone, applyDone time.Time) {
 	d := p.stats
 	o.batches.Add(d.Batches - before.Batches)
@@ -65,6 +65,8 @@ func (o *pipeObs) done(p *Pipeline, before Stats, t0, planDone, applyDone time.T
 	if d.Updates > 0 {
 		o.fastFrac.Set(float64(d.Fast) / float64(d.Updates))
 	}
-	o.tr.SpanBetween("batch", "plan", t0, planDone, "updates", d.Updates-before.Updates, "planned", d.Planned-before.Planned)
-	o.tr.SpanBetween("batch", "apply", planDone, applyDone, "fast", d.Fast-before.Fast, "fallback", d.Fallback-before.Fallback)
+	o.fr.Record(obs.Event{TS: t0.UnixNano(), Dur: planDone.Sub(t0).Nanoseconds(), Kind: obs.KindBatchPlan,
+		Args: [2]int64{d.Updates - before.Updates, d.Planned - before.Planned}})
+	o.fr.Record(obs.Event{TS: planDone.UnixNano(), Dur: applyDone.Sub(planDone).Nanoseconds(), Kind: obs.KindBatchApply,
+		Args: [2]int64{d.Fast - before.Fast, d.Fallback - before.Fallback}})
 }

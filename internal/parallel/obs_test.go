@@ -16,7 +16,7 @@ import (
 func TestPipelineObs(t *testing.T) {
 	pos := map[uint64]geom.Point{}
 	mon := core.New(core.Options{Space: geom.R(0, 0, 100, 100), GridM: 10}, core.ProberFunc(func(id uint64) geom.Point { return pos[id] }), nil)
-	sink := obs.NewSink(obs.NewRegistry(), obs.NewTracer(1024))
+	sink := obs.NewSink(obs.NewRegistry(), obs.NewFlightRecorder(1024, ""))
 	mon.SetObs(sink)
 	pipe := New(mon, 2)
 	pipe.SetObs(sink)
@@ -74,13 +74,13 @@ func TestPipelineObs(t *testing.T) {
 	if got := r.Gauge("srb_batch_fastpath_fraction", "").Value(); got != wantFrac {
 		t.Errorf("fastpath fraction = %g, want %g", got, wantFrac)
 	}
-	// Phase spans landed in the tracer.
+	// Phase spans landed in the ring.
 	var plan, apply bool
-	for _, e := range sink.Tracer().Events() {
-		if e.Cat == "batch" && e.Name == "plan" {
+	for _, e := range sink.Recorder().Events() {
+		if e.Kind == obs.KindBatchPlan {
 			plan = true
 		}
-		if e.Cat == "batch" && e.Name == "apply" {
+		if e.Kind == obs.KindBatchApply {
 			apply = true
 		}
 	}

@@ -19,8 +19,9 @@ import (
 //	GET /snapshot         the monitor state as a gob snapshot (core.SaveSnapshot)
 //	GET /svg              the spatial state rendered as SVG (safe regions included)
 //	GET /metrics          Prometheus text exposition (404 until SetObs)
-//	GET /trace            Chrome trace-event JSON of recent decision events
-//	                      (load in chrome://tracing or https://ui.perfetto.dev)
+//	GET /trace            the flight recorder's ring as Chrome trace-event JSON
+//	                      (load in chrome://tracing or https://ui.perfetto.dev;
+//	                      404 until SetFlightRecorder or a sink with a ring)
 //	GET /queries          per-query cost ledger as JSON: hottest queries first
 //	                      (?k=N caps the list, default 20), plus the
 //	                      Unattributed and Retired buckets (404 until SetObs)
@@ -29,8 +30,8 @@ import (
 //	GET /debug/pprof/...  the standard net/http/pprof profiling surface
 //
 // /stats, /snapshot, /svg and /queries serialize through the event loop, so
-// they observe consistent state; /metrics, /trace and /debug/flightrec read
-// lock-free snapshots and never touch the loop.
+// they observe consistent state; /metrics, /trace and /debug/flightrec never
+// touch the loop.
 func (s *Server) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -119,7 +120,7 @@ func (s *Server) AdminHandler() http.Handler {
 		s.flight.ServeHTTP(w, r)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		reg := s.sink.Registry()
+		reg := s.reg
 		if reg == nil {
 			http.Error(w, "metrics disabled (no observability sink attached)", http.StatusNotFound)
 			return
@@ -127,8 +128,8 @@ func (s *Server) AdminHandler() http.Handler {
 		reg.ServeHTTP(w, r)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		// A nil tracer answers 404 itself.
-		s.sink.Tracer().ServeHTTP(w, r)
+		// A nil recorder answers 404 itself.
+		s.flight.ServeChromeTrace(w, r)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

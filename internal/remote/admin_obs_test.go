@@ -24,7 +24,7 @@ func startObsServer(t *testing.T) (*Server, *obs.Sink) {
 		t.Fatal(err)
 	}
 	s.SetLogf(nil)
-	sink := obs.NewSink(obs.NewRegistry(), obs.NewTracer(obs.DefaultTraceDepth))
+	sink := obs.NewSink(obs.NewRegistry(), obs.NewFlightRecorder(0, ""))
 	s.SetObs(sink)
 	s.SetWorkers(2)
 	var wg sync.WaitGroup
@@ -166,7 +166,8 @@ func TestAdminMetricsAndTrace(t *testing.T) {
 		t.Errorf("/stats batch counters do not partition: %+v", payload.Batch)
 	}
 
-	// /trace serves loadable Chrome trace JSON with core decision events.
+	// /trace serves loadable Chrome trace JSON with core decision events
+	// beside the wire-level chain, all from the one ring.
 	resp, err = http.Get(srv.URL + "/trace")
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +175,7 @@ func TestAdminMetricsAndTrace(t *testing.T) {
 	var trace struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
+			Cat  string `json:"cat"`
 			Ph   string `json:"ph"`
 		} `json:"traceEvents"`
 	}
@@ -186,13 +188,15 @@ func TestAdminMetricsAndTrace(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, e := range trace.TraceEvents {
-		names[e.Name] = true
+		names[e.Cat+"/"+e.Name] = true
 		if e.Ph != "X" && e.Ph != "i" {
 			t.Errorf("unexpected trace phase %q", e.Ph)
 		}
 	}
-	if !names["update"] {
-		t.Errorf("trace lacks core update spans; saw %v", names)
+	for _, want := range []string{"core/update", "server/batch", "flight/update", "flight/grant"} {
+		if !names[want] {
+			t.Errorf("trace lacks %s events; saw %v", want, names)
+		}
 	}
 
 	// The pprof surface answers.

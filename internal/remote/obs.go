@@ -13,8 +13,6 @@ import (
 // records per-request latency by kind, the size of each coalesced update
 // batch, the live client population, and the request queue depth.
 type srvObs struct {
-	tr *obs.Tracer
-
 	clients       *obs.Gauge
 	updateSeconds *obs.Histogram
 	opSeconds     *obs.Histogram
@@ -33,25 +31,22 @@ type srvObs struct {
 
 // SetObs attaches an observability sink to the server and everything it
 // hosts: the core monitor, the batch pipeline (current and any created later
-// by SetWorkers), and the server's own event-loop instruments. Must be called
-// before Serve; nil detaches.
+// by SetWorkers), and the server's own event-loop instruments. The sink's
+// recorder, when it has one, becomes the server's flight recorder
+// (SetFlightRecorder); either way the server, its monitor and its pipeline
+// record into that one ring. Must be called before Serve; nil detaches.
 func (s *Server) SetObs(sink *obs.Sink) {
-	if sink == nil || (sink.Registry() == nil && sink.Tracer() == nil) {
-		s.sink = nil
-		s.obs = nil
-		s.mon.SetObs(nil)
-		if s.pipe != nil {
-			s.pipe.SetObs(nil)
-		}
+	if sink == nil || (sink.Registry() == nil && sink.Recorder() == nil) {
+		s.reg, s.obs = nil, nil
+		s.attachSink()
 		return
 	}
-	s.sink = sink
-	s.mon.SetObs(sink)
-	if s.pipe != nil {
-		s.pipe.SetObs(sink)
+	if fr := sink.Recorder(); fr != nil {
+		s.flight = fr
 	}
 	r := sink.Registry()
-	o := &srvObs{tr: sink.Tracer()}
+	s.reg = r
+	o := &srvObs{}
 	o.clients = r.Gauge("srb_server_clients", "Connected mobile clients.")
 	help := "Event-loop request latency by kind (update batch or other operation)."
 	o.updateSeconds = r.Histogram("srb_server_request_seconds", help, obs.LatencyBuckets(), "kind", "update")
@@ -86,6 +81,7 @@ func (s *Server) SetObs(sink *obs.Sink) {
 		}
 	}
 	s.obs = o
+	s.attachSink()
 	if s.inj != nil {
 		s.inj.OnFault(o.noteFault)
 	}
@@ -164,11 +160,30 @@ func (s *Server) noteOp(t0 time.Time) {
 }
 
 // noteBatch records one coalesced update batch: its latency, its size, and a
-// server-level trace span framing the core/pipeline spans inside it.
+// server-level span framing the core/pipeline spans inside it.
 func (s *Server) noteBatch(t0 time.Time, n int) {
 	if s.obs != nil {
-		s.obs.updateSeconds.ObserveSince(t0)
+		dur := time.Since(t0)
+		s.obs.updateSeconds.Observe(dur.Seconds())
 		s.obs.batchSize.Observe(float64(n))
-		s.obs.tr.Span("server", "batch", t0, "updates", int64(n), "queued", int64(len(s.reqs)))
+		s.flight.Record(obs.Event{TS: t0.UnixNano(), Dur: dur.Nanoseconds(), Kind: obs.KindServerBatch,
+			Args: [2]int64{int64(n), int64(len(s.reqs))}})
+	}
+}
+
+// sink is what the server hands the monitor and the pipeline: its registry
+// and its one ring, or nil when no sink is attached.
+func (s *Server) sink() *obs.Sink {
+	if s.obs == nil {
+		return nil
+	}
+	return obs.NewSink(s.reg, s.flight)
+}
+
+// attachSink (re)attaches the server's sink to the monitor and the pipeline.
+func (s *Server) attachSink() {
+	s.mon.SetObs(s.sink())
+	if s.pipe != nil {
+		s.pipe.SetObs(s.sink())
 	}
 }

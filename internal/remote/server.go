@@ -51,10 +51,10 @@ type Server struct {
 	reqs chan request
 	done chan struct{}
 
-	sink *obs.Sink // attached observability, nil when off
-	obs  *srvObs
+	reg *obs.Registry // attached metrics registry, nil when off
+	obs *srvObs       // event-loop instruments, nil when no sink is attached
 
-	flight    *obs.FlightRecorder // black-box ring, nil when off
+	flight    *obs.FlightRecorder // the event ring, nil when off
 	sloThresh time.Duration       // event-loop SLO; breaches trigger a flight dump
 
 	inj     *chaos.Injector // fault injection on accepted conns, nil when off
@@ -165,9 +165,7 @@ func (s *Server) SetLogf(f func(string, ...interface{})) {
 func (s *Server) SetWorkers(n int) {
 	if n > 0 {
 		s.pipe = parallel.New(s.mon, n)
-		if s.sink != nil {
-			s.pipe.SetObs(s.sink)
-		}
+		s.pipe.SetObs(s.sink())
 	} else {
 		s.pipe = nil
 	}
@@ -184,16 +182,18 @@ func (s *Server) SetChaos(inj *chaos.Injector) {
 	}
 }
 
-// SetFlightRecorder attaches a black-box flight recorder: the server records
+// SetFlightRecorder attaches the server's event ring: the server records
 // every wire-causal event (updates, grants, probes, registrations, resumes)
-// into its bounded ring, the monitor adds slow-op markers, and dumps trigger
-// automatically on an event-loop SLO breach (SetSLO) or a reconnect storm.
-// Works with or without an observability sink. Must be called before Serve;
-// nil detaches. The caller owns the recorder's lifecycle (Close, SIGQUIT
-// dumps).
+// into it, and dumps trigger automatically on an event-loop SLO breach
+// (SetSLO) or a reconnect storm. With an observability sink attached
+// (SetObs), the monitor and the pipeline record their spans, instants and
+// slow ops into the same ring. Must be called before Serve; nil detaches.
+// The caller owns the recorder's lifecycle (Close, SIGQUIT dumps).
 func (s *Server) SetFlightRecorder(fr *obs.FlightRecorder) {
 	s.flight = fr
-	s.mon.SetFlightRecorder(fr)
+	if s.obs != nil {
+		s.attachSink()
+	}
 }
 
 // SetSLO sets the event-loop latency objective: a request (update batch or
@@ -202,17 +202,17 @@ func (s *Server) SetFlightRecorder(fr *obs.FlightRecorder) {
 // called before Serve; effective only with a flight recorder attached.
 func (s *Server) SetSLO(d time.Duration) { s.sloThresh = d }
 
-// SetSlowOpLog configures the monitor's structured slow-operation NDJSON log
+// SetSlowOpLog configures the monitor's slow-op detection
 // (core.Monitor.SetSlowOpLog): monitor operations taking threshold or longer
-// are appended to w with their op kind, duration, causal trace ID, work
-// deltas, and the chain of queries touched. Requires an observability sink
-// (operation timing exists only then). Must be called before Serve.
+// record a slow_op event into the ring and append its NDJSON line to w.
+// Requires an observability sink (operation timing exists only then). Must be
+// called before Serve.
 func (s *Server) SetSlowOpLog(threshold time.Duration, w io.Writer) {
 	s.mon.SetSlowOpLog(threshold, w)
 }
 
 // setTrace installs tr as the causal trace of the operation about to run:
-// the monitor tags its spans, instants, and slow-op records with it, and the
+// the monitor tags its spans, instants, and slow-op events with it, and the
 // server echoes it on probe frames and result pushes issued from inside the
 // operation. Runs on the event loop.
 func (s *Server) setTrace(tr uint64) {
@@ -338,8 +338,8 @@ func (s *Server) checkSLO(t0 time.Time, kind string) {
 		return
 	}
 	if dur := time.Since(t0); dur >= s.sloThresh {
-		s.flight.Record(obs.FlightEvent{
-			Kind: obs.FlightSlowOp, DurNS: dur.Nanoseconds(), Note: "event-loop " + kind,
+		s.flight.Record(obs.Event{
+			TS: t0.UnixNano(), Kind: obs.FlightSlowOp, Dur: dur.Nanoseconds(), Note: "event-loop " + kind,
 		})
 		s.flight.TriggerDump("slo-breach")
 	}
@@ -355,7 +355,7 @@ func (s *Server) applyUpdates(conns []*clientConn, pts []geom.Point, trs []uint6
 	// (and possibly probes) any update of the batch.
 	for i, c := range conns {
 		c.lastPos = pts[i]
-		s.flight.Record(obs.FlightEvent{Kind: obs.FlightUpdate, Trace: trs[i], Obj: c.obj})
+		s.flight.Record(obs.Event{Kind: obs.FlightUpdate, Trace: trs[i], Obj: c.obj})
 	}
 	if s.pipe != nil && len(conns) > 1 {
 		// One journal entry for the whole coalesced batch, in arrival order;
@@ -373,7 +373,7 @@ func (s *Server) applyUpdates(conns []*clientConn, pts []geom.Point, trs []uint6
 			batch[i] = parallel.Update{ID: c.obj, Loc: pts[i]}
 		}
 		// The serial apply phase installs each update's trace just before its
-		// effects run, so probes, grants, and slow-op records inside carry the
+		// effects run, so probes, grants, and slow-op events inside carry the
 		// causing frame's ID even though planning ran for the whole batch.
 		s.pipe.ApplyEachCtx(batch,
 			func(i int) { s.setTrace(trs[i]) },
@@ -442,7 +442,7 @@ func (s *Server) probeLive(id uint64) geom.Point {
 	}
 	c.seq++
 	seq := c.seq
-	s.flight.Record(obs.FlightEvent{Kind: obs.FlightProbe, Trace: s.curTrace, Obj: id})
+	s.flight.Record(obs.Event{Kind: obs.FlightProbe, Trace: s.curTrace, Obj: id})
 	if err := c.codec.Send(wire.Message{Type: wire.TProbe, Seq: seq, Trace: s.curTrace}); err != nil {
 		return c.lastPos
 	}
@@ -628,7 +628,7 @@ func (s *Server) noteReconnectFlight(obj, tr uint64, outcome string) {
 	if s.flight == nil {
 		return
 	}
-	s.flight.Record(obs.FlightEvent{Kind: obs.FlightReconnect, Trace: tr, Obj: obj, Note: outcome})
+	s.flight.Record(obs.Event{Kind: obs.FlightReconnect, Trace: tr, Obj: obj, Note: outcome})
 	now := time.Now() //lint:allow wallclock reconnect-storm detection is wall-clock by design
 	keep := s.recentRec[:0]
 	for _, t := range s.recentRec {
@@ -705,7 +705,7 @@ func (s *Server) pushRegion(c *clientConn, tr uint64) {
 		return
 	}
 	c.needRegion = false
-	s.flight.Record(obs.FlightEvent{Kind: obs.FlightGrant, Trace: tr, Obj: c.obj, Note: "repush"})
+	s.flight.Record(obs.Event{Kind: obs.FlightGrant, Trace: tr, Obj: c.obj, Note: "repush"})
 	s.noteRepush()
 }
 
@@ -756,7 +756,7 @@ func (s *Server) dispatchRegions(primary uint64, ups []core.SafeRegionUpdate, tr
 			continue
 		}
 		c.needRegion = false
-		s.flight.Record(obs.FlightEvent{Kind: obs.FlightGrant, Trace: tr, Obj: u.Object})
+		s.flight.Record(obs.Event{Kind: obs.FlightGrant, Trace: tr, Obj: u.Object})
 	}
 }
 
@@ -802,7 +802,7 @@ func (s *Server) serveApp(conn net.Conn, codec *wire.Codec, first wire.Message) 
 				}
 				var ups []core.SafeRegionUpdate
 				s.setTrace(req.Trace)
-				s.flight.Record(obs.FlightEvent{Kind: obs.FlightRegister, Trace: req.Trace, Query: req.QID, Note: req.Type})
+				s.flight.Record(obs.Event{Kind: obs.FlightRegister, Trace: req.Trace, Query: req.QID, Note: req.Type})
 				s.jBegin(registrationEntry(req))
 				switch req.Type { //lint:allow protodrift TDeregister is routed by the enclosing frame switch before this point
 				case wire.TRegisterRange:
@@ -842,7 +842,7 @@ func (s *Server) serveApp(conn net.Conn, codec *wire.Codec, first wire.Message) 
 			tr := m.Trace
 			if err := s.do(func() {
 				s.setTrace(tr)
-				s.flight.Record(obs.FlightEvent{Kind: obs.FlightRegister, Trace: tr, Query: uint64(qid), Note: wire.TDeregister})
+				s.flight.Record(obs.Event{Kind: obs.FlightRegister, Trace: tr, Query: uint64(qid), Note: wire.TDeregister})
 				s.jBegin(core.JournalEntry{Op: core.JournalDeregister, QID: uint64(qid)})
 				s.mon.Deregister(qid)
 				s.jCommit()

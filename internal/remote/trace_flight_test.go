@@ -254,7 +254,7 @@ func TestFlightrecEndpointServesRing(t *testing.T) {
 	dec := json.NewDecoder(resp.Body)
 	n := 0
 	for {
-		var ev obs.FlightEvent
+		var ev obs.Event
 		if err := dec.Decode(&ev); err != nil {
 			break
 		}
@@ -341,5 +341,70 @@ func TestReconnectStormDumpsFlightRecorder(t *testing.T) {
 	}
 	if !strings.Contains(string(buf), `"kind":"reconnect"`) {
 		t.Errorf("dump lacks the reconnect events that caused it")
+	}
+}
+
+// TestFlightEventsPerUpdate measures what one location update costs in ring
+// events, with and without a sink: the figure that, with the ring size, sets
+// the post-mortem window in updates (OPERATIONS.md "The flight recorder").
+// Without a sink the server records only the wire-level kinds; with one the
+// monitor and the pipeline record into the same ring.
+func TestFlightEventsPerUpdate(t *testing.T) {
+	const clients, rounds = 12, 10
+	perUpdate := func(instrumented bool) float64 {
+		fr := obs.NewFlightRecorder(1<<16, "")
+		s := startServerCfg(t, func(s *Server) {
+			s.SetFlightRecorder(fr)
+			if instrumented {
+				s.SetObs(obs.NewSink(obs.NewRegistry(), nil))
+			}
+			s.SetWorkers(2)
+		})
+		var mcs []*MobileClient
+		for i := 0; i < clients; i++ {
+			c, err := DialClient(s.Addr(), uint64(i+1), geom.Pt(0.05+0.075*float64(i), 0.5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			mcs = append(mcs, c)
+		}
+		app, err := DialApp(s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer app.Close()
+		if _, err := app.RegisterRange(1, geom.R(0.3, 0.3, 0.7, 0.7)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := app.RegisterKNN(2, geom.Pt(0.5, 0.5), 3, true); err != nil {
+			t.Fatal(err)
+		}
+		updates := func() (n int64) {
+			_ = s.do(func() { n = s.mon.Stats().SourceUpdates })
+			return n
+		}
+		u0, e0 := updates(), fr.Total()
+		for r := 0; r < rounds; r++ {
+			for i, c := range mcs {
+				c.Report(geom.Pt(0.05+0.075*float64((i+r)%clients), 0.2+0.06*float64(r)))
+			}
+		}
+		waitFor(t, "updates processed", func() bool { return updates()-u0 >= clients*rounds })
+		n := updates() - u0
+		for _, ev := range fr.Events() {
+			if !instrumented && strings.Contains(ev.Kind, ".") {
+				t.Fatalf("uninstrumented server recorded layer event %q", ev.Kind)
+			}
+		}
+		return float64(fr.Total()-e0) / float64(n)
+	}
+	off, on := perUpdate(false), perUpdate(true)
+	t.Logf("ring events per update: %.2f without a sink, %.2f with one", off, on)
+	if off < 2 {
+		t.Errorf("%.2f events per update without a sink; want at least the update and its grant", off)
+	}
+	if on < off+1 {
+		t.Errorf("%.2f events per update with a sink; want at least one more (the core.update span) than %.2f", on, off)
 	}
 }

@@ -15,7 +15,7 @@ func TestProgressSnapshots(t *testing.T) {
 	cfg.W = 8
 	cfg.Duration = 2
 	cfg.ProgressEvery = 0.5
-	sink := obs.NewSink(obs.NewRegistry(), obs.NewTracer(4096))
+	sink := obs.NewSink(obs.NewRegistry(), obs.NewFlightRecorder(4096, ""))
 	cfg.Obs = sink
 
 	var snaps []Progress
@@ -50,8 +50,8 @@ func TestProgressSnapshots(t *testing.T) {
 	if got := sink.Registry().Counter("srb_updates_total", "").Value(); got == 0 {
 		t.Error("sink counter srb_updates_total did not move during the simulation")
 	}
-	if sink.Tracer().Total() == 0 {
-		t.Error("sink tracer recorded no events during the simulation")
+	if sink.Recorder().Total() == 0 {
+		t.Error("sink ring recorded no events during the simulation")
 	}
 }
 
