@@ -1,11 +1,13 @@
 # Correctness gate for the safe-region monitoring framework.
-# `make check` is what CI runs; every target also works standalone.
+# `make check` runs every target CI's check, lint-ipa, race and bench-counts
+# jobs run; CI's obs-smoke, load-smoke and docs jobs run the other three.
+# Every target also works standalone.
 
 GO ?= go
 
-.PHONY: check build vet fmt lint lint-ipa lint-baseline test bench-check race debug fuzz-smoke obs-smoke docs bench-json load-smoke
+.PHONY: check build vet fmt lint lint-ipa lint-baseline test bench-check race debug fuzz-smoke obs-smoke docs bench-counts load-smoke
 
-check: build vet fmt lint lint-ipa test bench-check race debug fuzz-smoke
+check: build vet fmt lint lint-ipa test bench-check bench-counts race debug fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -20,10 +22,10 @@ fmt:
 	fi
 
 # Project-specific static analysis (internal/analysis): the syntactic checks
-# (floatcmp, lockreentry, sliceescape, bareGoroutine) plus the flow-sensitive
-# v2 suite (lockorder, errdrop, ctxdeadline, distunits), the interprocedural
-# v3 suite (maporder, wallclock, allochot, rwpurity) and the v4 contract
-# suite (chanlife, goroleak, protodrift, atomicmix). Fails on any
+# (floatcmp, lockreentry, sliceescape, bareGoroutine, missingdoc) plus the
+# flow-sensitive v2 suite (lockorder, errdrop, ctxdeadline, distunits), the
+# interprocedural v3 suite (maporder, wallclock, allochot, rwpurity) and the v4
+# contract suite (chanlife, goroleak, protodrift, atomicmix). Fails on any
 # unsuppressed finding; known hot-path allocation sites are accepted through
 # lint/allochot.baseline.
 lint:
@@ -53,6 +55,41 @@ bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
 
+# The five pinned fields of one benchmark result, keyed by its workload ($w).
+bench_counts_pick = {($$w): {correct, attempted, failed, \
+	comm_cost: .metrics.comm_cost.value, accuracy: .metrics.accuracy.value}}
+
+# Every difference between the pinned counts ($want) and the observed ones
+# ($got), one line each.
+bench_counts_diff = $$want[0] as $$w | $$got[0] as $$g | \
+	($$g | keys_unsorted[]) as $$k | \
+	if ($$w | has($$k) | not) then "\($$k): missing from BENCH_COUNTS.json" \
+	else ($$g[$$k] | keys_unsorted[]) as $$f | select($$w[$$k][$$f] != $$g[$$k][$$f]) | \
+		"\($$k) \($$f): expected \($$w[$$k][$$f] | tojson), got \($$g[$$k][$$f] | tojson)" end
+
+# Exact gate on the paper's yardstick. For every workload BENCHMARK.json names,
+# one seed-1, --seconds 1 run of the benchmark must reproduce its entry in
+# BENCH_COUNTS.json: correct, attempted, failed, comm_cost and accuracy,
+# compared as parsed numbers with no tolerance. These repeat bit for bit for a
+# seed; allocs_per_update and the wall clocks do not, and are left to A/B runs.
+# The observed values go to bin/bench-counts.json, the runs' own reports to
+# bin/bench-counts.log. A change that moves region values or probe decisions on
+# purpose copies bin/bench-counts.json over BENCH_COUNTS.json and says why.
+bench-counts:
+	@mkdir -p bin
+	@: > bin/bench-counts.log; got='{}'; \
+	for w in $$(jq -r '.workloads[].name' BENCHMARK.json); do \
+		got=$$($(GO) -C bench run . --workload $$w --seed 1 --seconds 1 2>>bin/bench-counts.log | tail -n 1 | \
+			jq -cn --arg w $$w --argjson acc "$$got" '$$acc + (input | $(bench_counts_pick))') || \
+			{ echo "bench-counts: $$w printed no result; see bin/bench-counts.log"; exit 1; }; \
+	done; \
+	printf '%s\n' "$$got" | jq . > bin/bench-counts.json; \
+	diff=$$(jq -nr --slurpfile want BENCH_COUNTS.json --slurpfile got bin/bench-counts.json '$(bench_counts_diff)') || exit 1; \
+	if [ -n "$$diff" ]; then \
+		echo "$$diff"; echo "bench-counts: observed values are in bin/bench-counts.json"; exit 1; \
+	fi; \
+	echo "bench-counts: every workload matches BENCH_COUNTS.json"
+
 race:
 	$(GO) test -race ./...
 
@@ -73,11 +110,12 @@ obs-smoke:
 
 # Documentation gate: METRICS.md must list exactly the metric families the
 # code registers, OPERATIONS.md exactly the flags srb-server defines, every
-# markdown cross-reference must resolve, and vet stays clean. The three tests
-# also run under plain `make test`; this target is the fast path for the CI
-# docs job.
+# markdown cross-reference must resolve, every `make` target CI and README.md
+# run must exist (and every target be .PHONY), BENCH_COUNTS.json must pin every
+# benchmark workload, and vet stays clean. The five tests also run under plain
+# `make test`; this target is the fast path for the CI docs job.
 docs:
-	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestServerFlagsDocumented|TestDocsLinksResolve' -v .
+	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestServerFlagsDocumented|TestDocsLinksResolve|TestCIMakeTargetsExist|TestBenchCountsCoverWorkloads' -v .
 	$(GO) vet ./...
 
 # Short fuzz runs of the geometry and R*-tree oracles, the kNN search
@@ -94,23 +132,10 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCFG -fuzztime=10s ./internal/analysis/
 	$(GO) test -fuzz=FuzzProtoDriftExtract -fuzztime=10s ./internal/analysis/
 
-# Machine-readable update-path benchmark snapshot plus regression gate: the
-# sequential and batch update benchmarks (nil-sink and fully instrumented)
-# with -benchmem, parsed into BENCH_PR10.json and compared against the
-# committed BENCH_PR9.json baseline. The gate fails on a >15% ns/op or
-# allocs/op regression in either nil-sink update benchmark; the Instrumented
-# variants (observability-overhead accounting in EXPERIMENTS.md) are recorded
-# but not gated. Benchmark wall time is machine-dependent; the committed
-# baseline is refreshed alongside any intentional update-path change.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkUpdateSequential(Instrumented)?$$|BenchmarkUpdateBatch(Instrumented)?$$' -benchmem . | \
-		$(GO) run ./cmd/srb-benchjson -out BENCH_PR10.json \
-		-baseline BENCH_PR9.json -gate UpdateSequential,UpdateBatch -max-regress 0.15
-
 # Capacity smoke: build the real server and the open-loop load harness, ramp
 # a small session fleet against a spawned server, SIGKILL it mid-run for the
 # RTO drill (recovery replays the journal), and validate the emitted
-# LOAD_PR10.json (schema srb-load/v2, non-zero latency quantiles, monotone
+# bin/load-smoke.json (schema srb-load/v2, non-zero latency quantiles, monotone
 # ramp, finite recovery timeline, and a worst-tail ack
 # whose causal trace ID resolves to a complete update→grant chain in the
 # server's flight recorder). The SLO is generous because CI boxes are slow
@@ -122,4 +147,4 @@ load-smoke:
 	$(GO) build -o bin/srb-load ./cmd/srb-load
 	./bin/srb-load -server-bin bin/srb-server -sessions 16 -stages 1,2 \
 		-stage-dur 3s -slo 500ms -rto -rto-timeout 30s -seed 1 \
-		-out LOAD_PR10.json
+		-out bin/load-smoke.json

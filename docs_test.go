@@ -1,12 +1,14 @@
 package srb_test
 
 // Documentation gates: METRICS.md must list exactly the metric families the
-// code registers, OPERATIONS.md exactly the flags srb-server defines, and
-// every markdown cross-reference must resolve. All run under plain `go test`
-// and in the CI docs job.
+// code registers, OPERATIONS.md exactly the flags srb-server defines, every
+// markdown cross-reference must resolve, every `make` target CI and README.md
+// name must exist, and BENCH_COUNTS.json must pin every benchmark workload.
+// All run under plain `go test` and in the CI docs job.
 
 import (
 	"bytes"
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -264,5 +266,136 @@ func TestServerFlagsDocumented(t *testing.T) {
 	}
 	if len(stale) > 0 {
 		t.Errorf("OPERATIONS.md documents srb-server flags that do not exist: %v", stale)
+	}
+}
+
+// makeTargets returns the targets the Makefile defines and the names its
+// .PHONY line lists.
+func makeTargets(t *testing.T) (defined, phony map[string]bool) {
+	t.Helper()
+	data, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatalf("read Makefile: %v", err)
+	}
+	rule := regexp.MustCompile(`^([a-z][\w-]*):`)
+	defined, phony = make(map[string]bool), make(map[string]bool)
+	for _, line := range strings.Split(string(data), "\n") {
+		if names, ok := strings.CutPrefix(line, ".PHONY:"); ok {
+			for _, name := range strings.Fields(names) {
+				phony[name] = true
+			}
+		} else if m := rule.FindStringSubmatch(line); m != nil {
+			defined[m[1]] = true
+		}
+	}
+	if len(defined) == 0 {
+		t.Fatal("no targets found in the Makefile")
+	}
+	return defined, phony
+}
+
+// makeInvocation is one target named by a `make ...` command line, with the
+// file and line it was found at.
+type makeInvocation struct{ where, target string }
+
+// makeInvocations returns the targets named by `make ...` in the `run:`
+// lines of the CI workflow and in README.md's shell blocks.
+func makeInvocations(t *testing.T) []makeInvocation {
+	t.Helper()
+	invocation := regexp.MustCompile(`\bmake((?:\s+[a-z][\w-]*)+)`)
+	var out []makeInvocation
+	scan := func(where, line string) {
+		line, _, _ = strings.Cut(line, "#")
+		for _, m := range invocation.FindAllStringSubmatch(line, -1) {
+			for _, target := range strings.Fields(m[1]) {
+				out = append(out, makeInvocation{where, target})
+			}
+		}
+	}
+
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatalf("read ci.yml: %v", err)
+	}
+	for i, line := range strings.Split(string(ci), "\n") {
+		if cmd, ok := strings.CutPrefix(strings.TrimSpace(line), "run:"); ok {
+			scan("ci.yml:"+strconv.Itoa(i+1), cmd)
+		}
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatalf("read README.md: %v", err)
+	}
+	inShell := false
+	for i, line := range strings.Split(string(readme), "\n") {
+		switch {
+		case strings.HasPrefix(line, "```"):
+			inShell = line == "```sh" || line == "```bash"
+		case inShell:
+			scan("README.md:"+strconv.Itoa(i+1), line)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no make invocations found in ci.yml or README.md")
+	}
+	return out
+}
+
+func TestCIMakeTargetsExist(t *testing.T) {
+	defined, phony := makeTargets(t)
+	for _, inv := range makeInvocations(t) {
+		if !defined[inv.target] {
+			t.Errorf("%s runs `make %s`, which the Makefile does not define", inv.where, inv.target)
+		}
+	}
+	for target := range defined {
+		if !phony[target] {
+			t.Errorf("Makefile target %s is not listed in .PHONY", target)
+		}
+	}
+}
+
+func TestBenchCountsCoverWorkloads(t *testing.T) {
+	var spec struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+	}
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatalf("read BENCHMARK.json: %v", err)
+	}
+	if err := json.Unmarshal(data, &spec); err != nil {
+		t.Fatalf("parse BENCHMARK.json: %v", err)
+	}
+	var pinned map[string]map[string]json.RawMessage
+	data, err = os.ReadFile("BENCH_COUNTS.json")
+	if err != nil {
+		t.Fatalf("read BENCH_COUNTS.json: %v", err)
+	}
+	if err := json.Unmarshal(data, &pinned); err != nil {
+		t.Fatalf("parse BENCH_COUNTS.json: %v", err)
+	}
+
+	workloads := make(map[string]bool)
+	for _, w := range spec.Workloads {
+		workloads[w.Name] = true
+		entry, ok := pinned[w.Name]
+		if !ok {
+			t.Errorf("BENCHMARK.json workload %s is not pinned in BENCH_COUNTS.json", w.Name)
+			continue
+		}
+		for _, f := range []string{"correct", "attempted", "failed", "comm_cost", "accuracy"} {
+			if _, ok := entry[f]; !ok {
+				t.Errorf("BENCH_COUNTS.json: %s has no %s", w.Name, f)
+			}
+		}
+	}
+	if len(workloads) == 0 {
+		t.Fatal("no workloads found in BENCHMARK.json")
+	}
+	for name := range pinned {
+		if !workloads[name] {
+			t.Errorf("BENCH_COUNTS.json pins %s, which is not a BENCHMARK.json workload", name)
+		}
 	}
 }
