@@ -1,11 +1,11 @@
 # Correctness gate for the safe-region monitoring framework.
 # `make check` runs every target CI's check, lint-ipa, race and bench-counts
-# jobs run; CI's obs-smoke, load-smoke and docs jobs run the other three.
+# jobs run; CI's load-smoke and docs jobs run the other two.
 # Every target also works standalone.
 
 GO ?= go
 
-.PHONY: check build vet fmt lint lint-ipa lint-baseline test bench-check race debug fuzz-smoke obs-smoke docs bench-counts load-smoke
+.PHONY: check build vet fmt lint lint-ipa lint-baseline test bench-check race debug fuzz-smoke docs bench-counts load-smoke
 
 check: build vet fmt lint lint-ipa test bench-check bench-counts race debug fuzz-smoke
 
@@ -99,23 +99,15 @@ race:
 debug:
 	$(GO) test -tags srbdebug ./...
 
-# End-to-end observability gate: build the real binaries, run a server with
-# metrics on, drive a client workload, scrape /metrics and /trace, and fail
-# on any missing family or stuck counter.
-obs-smoke:
-	@mkdir -p bin
-	$(GO) build -o bin/srb-server ./cmd/srb-server
-	$(GO) build -o bin/srb-client ./cmd/srb-client
-	$(GO) run ./cmd/srb-obs-smoke -server bin/srb-server -client bin/srb-client -for 10s
-
 # Documentation gate: METRICS.md must list exactly the metric families the
 # code registers, OPERATIONS.md exactly the flags srb-server defines, every
 # markdown cross-reference must resolve, every `make` target CI and README.md
 # run must exist (and every target be .PHONY), BENCH_COUNTS.json must pin every
-# benchmark workload, and vet stays clean. The five tests also run under plain
+# benchmark workload, load.ServerFamilies must list exactly METRICS.md's
+# server families, and vet stays clean. The six tests also run under plain
 # `make test`; this target is the fast path for the CI docs job.
 docs:
-	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestServerFlagsDocumented|TestDocsLinksResolve|TestCIMakeTargetsExist|TestBenchCountsCoverWorkloads' -v .
+	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestServerFlagsDocumented|TestDocsLinksResolve|TestCIMakeTargetsExist|TestBenchCountsCoverWorkloads|TestLoadRequiresEveryServerFamily' -v .
 	$(GO) vet ./...
 
 # Short fuzz runs of the geometry and R*-tree oracles, the kNN search
@@ -132,15 +124,23 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCFG -fuzztime=10s ./internal/analysis/
 	$(GO) test -fuzz=FuzzProtoDriftExtract -fuzztime=10s ./internal/analysis/
 
-# Capacity smoke: build the real server and the open-loop load harness, ramp
-# a small session fleet against a spawned server, SIGKILL it mid-run for the
-# RTO drill (recovery replays the journal), and validate the emitted
-# bin/load-smoke.json (schema srb-load/v2, non-zero latency quantiles, monotone
-# ramp, finite recovery timeline, and a worst-tail ack
-# whose causal trace ID resolves to a complete update→grant chain in the
-# server's flight recorder). The SLO is generous because CI boxes are slow
-# and shared; production capacity runs use `bin/srb-load -slo 50ms
-# -stage-dur 60s` directly (see OPERATIONS.md "Capacity testing").
+# Capacity smoke, and the one out-of-process drill: build the real server and
+# the open-loop load harness, ramp a small session fleet against a spawned
+# server, SIGKILL it mid-run (recovery replays the journal), and validate the
+# emitted bin/load-smoke.json (schema srb-load/v3): non-zero latency
+# quantiles, a monotone ramp, a finite recovery timeline, and the server's
+# admin evidence. At the end of the ramp the update, reevaluation and journal
+# counters moved, /queries attributed work to a hot query, and the worst-tail
+# ack's causal trace ID resolves to a complete update→grant chain in
+# /debug/flightrec. After the drill the recovered server moved its update
+# and reevaluation counters, replayed the journal, resumed and re-pushed
+# sessions, serves every load.ServerFamilies family with samples, and has a
+# non-empty /trace, retired /queries entries, a /stats batch section (both
+# lives run the two-worker pipeline) and traced reconnects in
+# /debug/flightrec. The SLO
+# is generous because CI boxes are slow and shared; production capacity runs
+# use `bin/srb-load -slo 50ms -stage-dur 60s` directly (see OPERATIONS.md
+# "Capacity testing").
 load-smoke:
 	@mkdir -p bin
 	$(GO) build -o bin/srb-server ./cmd/srb-server

@@ -9,7 +9,8 @@
 //
 //   - -server-bin <path>: spawn the server under test (with persistence,
 //     leases and the admin endpoint enabled), which also unlocks the -rto
-//     SIGKILL drill and the server-side /metrics scrape.
+//     SIGKILL drill and the evidence the report gathers from the server's
+//     admin endpoint (load.Config.AdminURL).
 //   - -addr <host:port>: drive an externally managed server; -rto is
 //     unavailable because the harness cannot kill what it does not own.
 //
@@ -24,6 +25,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -32,101 +34,69 @@ import (
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", "", "existing server address to drive (mutually exclusive with -server-bin)")
-		serverBin   = flag.String("server-bin", "", "srb-server binary to spawn and control")
-		sessions    = flag.Int("sessions", 64, "stage-1 mobile session count")
-		stages      = flag.String("stages", "1,2,4", "comma-separated session multipliers, strictly increasing")
-		stageDur    = flag.Duration("stage-dur", 10*time.Second, "duration of each ramp stage")
-		tick        = flag.Duration("tick", 20*time.Millisecond, "per-session movement tick interval")
-		reportEvery = flag.Duration("report-every", 100*time.Millisecond, "per-session forced update interval flooring the offered rate; 0 reports only on region exit")
-		probeEvery  = flag.Duration("probe-every", 250*time.Millisecond, "probe round-trip sampling interval")
-		speed       = flag.Float64("speed", 0.2, "mean waypoint speed per simulated time unit")
-		period      = flag.Float64("period", 0.1, "mean constant-movement period")
-		timescale   = flag.Float64("timescale", 2.5, "simulated time units per wall second")
-		nRange      = flag.Int("range", 4, "continuous range queries")
-		nCircle     = flag.Int("circle", 2, "continuous circle queries")
-		nKNN        = flag.Int("knn", 2, "continuous kNN queries")
-		nCount      = flag.Int("count", 1, "continuous COUNT queries")
-		slo         = flag.Duration("slo", 50*time.Millisecond, "p99 latency objective for update acks and probe RTTs")
-		rto         = flag.Bool("rto", false, "SIGKILL the server after the ramp and measure recovery (requires -server-bin)")
-		rtoTimeout  = flag.Duration("rto-timeout", 30*time.Second, "recovery drill budget")
-		seed        = flag.Int64("seed", 1, "workload seed: same seed, same offered workload")
-		workers     = flag.Int("workers", 2, "spawned server's batch pipeline workers")
-		lease       = flag.Duration("lease", 30*time.Second, "spawned server's session lease")
-		out         = flag.String("out", "LOAD.json", "capacity report output path")
-	)
+	cfg := load.Config{Logf: func(format string, args ...interface{}) {
+		fmt.Printf(format+"\n", args...)
+	}}
+	var sp spawnFlags
+	flag.StringVar(&cfg.Addr, "addr", "", "existing server address to drive (mutually exclusive with -server-bin)")
+	flag.StringVar(&sp.bin, "server-bin", "", "srb-server binary to spawn and control")
+	flag.IntVar(&cfg.Sessions, "sessions", 64, "stage-1 mobile session count")
+	stages := flag.String("stages", "1,2,4", "comma-separated session multipliers, strictly increasing")
+	flag.DurationVar(&cfg.StageDuration, "stage-dur", 10*time.Second, "duration of each ramp stage")
+	flag.DurationVar(&cfg.TickEvery, "tick", 20*time.Millisecond, "per-session movement tick interval")
+	flag.DurationVar(&cfg.ReportEvery, "report-every", 100*time.Millisecond, "per-session forced update interval flooring the offered rate; 0 reports only on region exit")
+	flag.DurationVar(&cfg.ProbeEvery, "probe-every", 250*time.Millisecond, "probe round-trip sampling interval")
+	flag.Float64Var(&cfg.MeanSpeed, "speed", 0.2, "mean waypoint speed per simulated time unit")
+	flag.Float64Var(&cfg.MeanPeriod, "period", 0.1, "mean constant-movement period")
+	flag.Float64Var(&cfg.Timescale, "timescale", 2.5, "simulated time units per wall second")
+	flag.IntVar(&cfg.RangeQueries, "range", 4, "continuous range queries")
+	flag.IntVar(&cfg.CircleQueries, "circle", 2, "continuous circle queries")
+	flag.IntVar(&cfg.KNNQueries, "knn", 2, "continuous kNN queries")
+	flag.IntVar(&cfg.CountQueries, "count", 1, "continuous COUNT queries")
+	flag.DurationVar(&cfg.SLOP99, "slo", 50*time.Millisecond, "p99 latency objective for update acks and probe RTTs")
+	flag.BoolVar(&sp.rto, "rto", false, "SIGKILL the server after the ramp and measure recovery (requires -server-bin)")
+	flag.DurationVar(&sp.rtoTimeout, "rto-timeout", 30*time.Second, "recovery drill budget")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "workload seed: same seed, same offered workload")
+	flag.IntVar(&sp.workers, "workers", 2, "spawned server's batch pipeline workers")
+	flag.DurationVar(&sp.lease, "lease", 30*time.Second, "spawned server's session lease")
+	out := flag.String("out", "LOAD.json", "capacity report output path")
 	flag.Parse()
-	if err := run(loadArgs{
-		addr: *addr, serverBin: *serverBin, sessions: *sessions, stages: *stages,
-		stageDur: *stageDur, tick: *tick, reportEvery: *reportEvery, probeEvery: *probeEvery,
-		speed: *speed, period: *period, timescale: *timescale,
-		nRange: *nRange, nCircle: *nCircle, nKNN: *nKNN, nCount: *nCount,
-		slo: *slo, rto: *rto, rtoTimeout: *rtoTimeout, seed: *seed,
-		workers: *workers, lease: *lease, out: *out,
-	}); err != nil {
+	if err := run(cfg, *stages, *out, sp); err != nil {
 		fmt.Fprintf(os.Stderr, "srb-load: FAIL: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// loadArgs carries the parsed flags into run, keeping main testably thin.
-type loadArgs struct {
-	addr, serverBin, stages, out       string
-	sessions, nRange, nCircle, nKNN    int
-	nCount, workers                    int
-	stageDur, tick, reportEvery        time.Duration
-	probeEvery, slo, rtoTimeout, lease time.Duration
-	speed, period, timescale           float64
-	seed                               int64
-	rto                                bool
+// spawnFlags are the flags that shape a spawned server and its drill.
+type spawnFlags struct {
+	bin        string
+	workers    int
+	lease      time.Duration
+	rto        bool
+	rtoTimeout time.Duration
 }
 
-func run(a loadArgs) error {
-	mults, err := parseStages(a.stages)
-	if err != nil {
+func run(cfg load.Config, stages, out string, sp spawnFlags) error {
+	var err error
+	if cfg.StageMultipliers, err = parseStages(stages); err != nil {
 		return err
 	}
-	if (a.addr == "") == (a.serverBin == "") {
+	if (cfg.Addr == "") == (sp.bin == "") {
 		return fmt.Errorf("exactly one of -addr and -server-bin is required")
 	}
-	if a.rto && a.serverBin == "" {
+	if sp.rto && sp.bin == "" {
 		return fmt.Errorf("-rto requires -server-bin (cannot SIGKILL an external server)")
 	}
-
-	cfg := load.Config{
-		Addr:             a.addr,
-		Seed:             a.seed,
-		Sessions:         a.sessions,
-		StageMultipliers: mults,
-		StageDuration:    a.stageDur,
-		TickEvery:        a.tick,
-		ReportEvery:      a.reportEvery,
-		ProbeEvery:       a.probeEvery,
-		MeanSpeed:        a.speed,
-		MeanPeriod:       a.period,
-		Timescale:        a.timescale,
-		RangeQueries:     a.nRange,
-		CircleQueries:    a.nCircle,
-		KNNQueries:       a.nKNN,
-		CountQueries:     a.nCount,
-		SLOP99:           a.slo,
-		Logf: func(format string, args ...interface{}) {
-			fmt.Printf(format+"\n", args...)
-		},
-	}
-
-	if a.serverBin != "" {
-		ctl, err := spawnServer(a.serverBin, a.workers, a.lease)
+	if sp.bin != "" {
+		ctl, err := spawnServer(sp.bin, sp.workers, sp.lease)
 		if err != nil {
 			return err
 		}
 		defer ctl.stop()
 		cfg.Addr = ctl.addr
-		cfg.MetricsURL = ctl.adminURL + "/metrics"
-		cfg.FlightURL = ctl.adminURL + "/debug/flightrec"
-		if a.rto {
-			cfg.Recovery = &load.RecoveryConfig{Control: ctl, Timeout: a.rtoTimeout}
+		cfg.AdminURL = ctl.adminURL
+		if sp.rto {
+			cfg.Recovery = &load.RecoveryConfig{Control: ctl, Timeout: sp.rtoTimeout}
 		}
 	}
 
@@ -137,21 +107,21 @@ func run(a loadArgs) error {
 	if err := report.Validate(); err != nil {
 		return fmt.Errorf("invalid capacity report: %w", err)
 	}
-	if err := report.WriteFile(a.out); err != nil {
+	// Validate holds each life to the pipeline the first one ran; the spawner
+	// also knows which one it asked for.
+	if sp.bin != "" && sp.workers > 0 && !report.Server.StatsBatch {
+		return fmt.Errorf("spawned server runs no batch pipeline: asked for -workers %d, /stats has no batch section", sp.workers)
+	}
+	if err := report.WriteFile(out); err != nil {
 		return fmt.Errorf("write report: %w", err)
 	}
-	fmt.Printf("srb-load: wrote %s\n", a.out)
+	fmt.Printf("srb-load: wrote %s\n", out)
 	c := report.Capacity
 	fmt.Printf("srb-load: capacity: %d sessions (%.1f/core over %d cores) at p99 <= %gms, saturated=%v\n",
 		c.MaxSessionsAtSLO, c.SessionsPerCore, report.Cores, c.SLOP99Seconds*1e3, c.Saturated)
 	if report.Recovery.Performed {
 		fmt.Printf("srb-load: recovery: RTO %.3fs, SLO restored %.3fs after SIGKILL\n",
 			report.Recovery.RTOSeconds, report.Recovery.SLORestoreSeconds)
-	}
-	if report.Flight.Checked {
-		fmt.Printf("srb-load: worst-tail trace %#x (stage %d) resolved to %d flight events %v, complete=%v\n",
-			report.Flight.Trace, report.Flight.Stage+1, report.Flight.Events,
-			report.Flight.Kinds, report.Flight.Complete)
 	}
 	return nil
 }
@@ -173,23 +143,21 @@ func parseStages(s string) ([]int, error) {
 // load.ServerControl with a real SIGKILL and a -recover re-exec.
 type procControl struct {
 	bin        string
+	args       []string // the flags every server life shares
 	addr       string
-	adminAddr  string
 	adminURL   string
 	persistDir string
-	workers    int
-	lease      time.Duration
 	cmd        *exec.Cmd
 }
 
 // spawnServer starts the server under test with persistence, leases and the
 // admin endpoint on, and waits for the admin surface to come up.
 func spawnServer(bin string, workers int, lease time.Duration) (*procControl, error) {
-	srvPort, err := freePort()
+	addr, err := freeAddr()
 	if err != nil {
 		return nil, err
 	}
-	adminPort, err := freePort()
+	adminAddr, err := freeAddr()
 	if err != nil {
 		return nil, err
 	}
@@ -198,14 +166,10 @@ func spawnServer(bin string, workers int, lease time.Duration) (*procControl, er
 		return nil, err
 	}
 	ctl := &procControl{
-		bin:        bin,
-		addr:       "127.0.0.1:" + strconv.Itoa(srvPort),
-		adminAddr:  "127.0.0.1:" + strconv.Itoa(adminPort),
-		persistDir: dir,
-		workers:    workers,
-		lease:      lease,
+		bin: bin, addr: addr, adminURL: "http://" + adminAddr, persistDir: dir,
+		args: []string{"-addr", addr, "-admin", adminAddr, "-workers", strconv.Itoa(workers),
+			"-lease", lease.String(), "-persist", dir},
 	}
-	ctl.adminURL = "http://" + ctl.adminAddr
 	// The first life journals without snapshotting so a kill always leaves a
 	// journal tail for -recover to replay.
 	if err := ctl.start("-snapshot-every", "0"); err != nil {
@@ -220,13 +184,7 @@ func spawnServer(bin string, workers int, lease time.Duration) (*procControl, er
 
 // start launches one server life with the shared flag set plus extras.
 func (c *procControl) start(extra ...string) error {
-	args := append([]string{
-		"-addr", c.addr, "-admin", c.adminAddr,
-		"-workers", strconv.Itoa(c.workers),
-		"-lease", c.lease.String(),
-		"-persist", c.persistDir,
-	}, extra...)
-	cmd := exec.Command(c.bin, args...)
+	cmd := exec.Command(c.bin, slices.Concat(c.args, extra)...)
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -255,25 +213,22 @@ func (c *procControl) Restart() error {
 	return c.start("-snapshot-every", "1s", "-recover")
 }
 
-// stop tears the server and its persist directory down at process exit.
+// stop tears the server, if still running, and its persist directory down
+// at process exit.
 func (c *procControl) stop() {
-	if c.cmd != nil && c.cmd.Process != nil {
-		_ = c.cmd.Process.Kill()
-		_ = c.cmd.Wait()
-		c.cmd = nil
-	}
+	_ = c.Kill()
 	_ = os.RemoveAll(c.persistDir)
 }
 
-// freePort asks the kernel for an unused TCP port. The port is released
-// before the server claims it — a benign race for a harness run.
-func freePort() (int, error) {
+// freeAddr asks the kernel for an unused loopback TCP address. The port is
+// released before the server claims it — a benign race for a harness run.
+func freeAddr() (string, error) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return 0, err
+		return "", err
 	}
 	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port, nil
+	return l.Addr().String(), nil
 }
 
 // waitAdmin polls the admin endpoint until it answers or the deadline hits.

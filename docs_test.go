@@ -3,7 +3,8 @@ package srb_test
 // Documentation gates: METRICS.md must list exactly the metric families the
 // code registers, OPERATIONS.md exactly the flags srb-server defines, every
 // markdown cross-reference must resolve, every `make` target CI and README.md
-// name must exist, and BENCH_COUNTS.json must pin every benchmark workload.
+// name must exist, BENCH_COUNTS.json must pin every benchmark workload, and
+// the load harness must require exactly METRICS.md's server families.
 // All run under plain `go test` and in the CI docs job.
 
 import (
@@ -69,17 +70,15 @@ func wireEverything(t *testing.T, reg *obs.Registry) {
 	load.NewMetrics(reg)
 }
 
+// metricRow matches a METRICS.md table row and captures its family name.
+var metricRow = regexp.MustCompile("^\\| `(srb_[a-z_]+)`")
+
 // docFamilies extracts the `srb_*` family names from METRICS.md table rows.
 func docFamilies(t *testing.T) map[string]bool {
 	t.Helper()
-	data, err := os.ReadFile("METRICS.md")
-	if err != nil {
-		t.Fatalf("read METRICS.md: %v", err)
-	}
-	row := regexp.MustCompile("^\\| `(srb_[a-z_]+)`")
 	out := make(map[string]bool)
-	for _, line := range strings.Split(string(data), "\n") {
-		if m := row.FindStringSubmatch(line); m != nil {
+	for _, line := range metricsDocLines(t) {
+		if m := metricRow.FindStringSubmatch(line); m != nil {
 			out[m[1]] = true
 		}
 	}
@@ -87,6 +86,46 @@ func docFamilies(t *testing.T) map[string]bool {
 		t.Fatal("no metric rows found in METRICS.md")
 	}
 	return out
+}
+
+// metricsDocLines returns METRICS.md's lines.
+func metricsDocLines(t *testing.T) []string {
+	t.Helper()
+	data, err := os.ReadFile("METRICS.md")
+	if err != nil {
+		t.Fatalf("read METRICS.md: %v", err)
+	}
+	return strings.Split(string(data), "\n")
+}
+
+// TestLoadRequiresEveryServerFamily pins load.ServerFamilies, the families
+// the load harness requires of a recovered server, to METRICS.md: exactly
+// the rows outside the "Application client" and "Load harness" sections.
+func TestLoadRequiresEveryServerFamily(t *testing.T) {
+	documented := make(map[string]bool)
+	clientSide := false
+	for _, line := range metricsDocLines(t) {
+		if heading, ok := strings.CutPrefix(line, "## "); ok {
+			clientSide = strings.HasPrefix(heading, "Application client") || strings.HasPrefix(heading, "Load harness")
+		} else if m := metricRow.FindStringSubmatch(line); m != nil && !clientSide {
+			documented[m[1]] = true
+		}
+	}
+	required := make(map[string]bool)
+	for _, name := range load.ServerFamilies {
+		if required[name] {
+			t.Errorf("load.ServerFamilies lists %s twice", name)
+		}
+		required[name] = true
+		if !documented[name] {
+			t.Errorf("load.ServerFamilies lists %s, which METRICS.md does not document as a server family", name)
+		}
+	}
+	for name := range documented {
+		if !required[name] {
+			t.Errorf("METRICS.md documents server family %s, which load.ServerFamilies omits", name)
+		}
+	}
 }
 
 func TestMetricsDocMatchesRegistry(t *testing.T) {

@@ -2,7 +2,9 @@ package load
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,39 +17,27 @@ import (
 // inprocControl implements ServerControl over an in-process remote.Server:
 // Kill tears the listener and event loop down without snapshotting (the
 // journal tail survives, exactly like a SIGKILL), Restart builds a fresh
-// server on the same address and recovers from the persist directory.
+// server on the same address and recovers from the persist directory. Each
+// life is set up like load-smoke's srb-server: two batch workers, a 30 s
+// lease, persistence, an observability sink and a flight recorder. The
+// current life is an atomic pointer because the admin handler reads it from
+// HTTP goroutines.
 //
 // Kill deliberately does not wait for Serve to return: connection goroutines
 // whose peer is idle only exit once the peer closes (exactly as a killed
 // process's kernel would reset them), and the fleet's own shutdown closes
 // every client at the end of the run.
 type inprocControl struct {
-	addr string
-	dir  string
-	srv  *remote.Server
+	t     *testing.T
+	addr  string
+	dir   string
+	dumps string
+	srv   atomic.Pointer[remote.Server]
 }
 
-func startInprocServer(t *testing.T, addr string) *remote.Server {
-	t.Helper()
-	s, err := remote.NewServer(addr, core.Options{
-		Space: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1},
-		GridM: 20,
-	})
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	s.SetLogf(nil)
-	s.SetWorkers(2)
-	s.SetLease(30 * time.Second)
-	go func() { _ = s.Serve() }()
-	return s
-}
-
-func (c *inprocControl) Kill() error {
-	return c.srv.Close()
-}
-
-func (c *inprocControl) Restart() error {
+// start brings up one server life, recovering from dir first when recover is
+// set.
+func (c *inprocControl) start(recover bool) error {
 	s, err := remote.NewServer(c.addr, core.Options{
 		Space: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1},
 		GridM: 20,
@@ -56,48 +46,58 @@ func (c *inprocControl) Restart() error {
 		return err
 	}
 	s.SetLogf(nil)
+	fr := obs.NewFlightRecorder(8192, c.dumps)
+	c.t.Cleanup(fr.Close)
+	s.SetObs(obs.NewSink(obs.NewRegistry(), fr))
 	s.SetWorkers(2)
 	s.SetLease(30 * time.Second)
-	if _, err := s.Recover(c.dir); err != nil {
-		_ = s.Close()
-		return err
+	if recover {
+		if _, err := s.Recover(c.dir); err != nil {
+			_ = s.Close()
+			return err
+		}
 	}
 	if err := s.SetPersist(c.dir, 0); err != nil {
 		_ = s.Close()
 		return err
 	}
 	go func() { _ = s.Serve() }()
-	c.srv = s
+	c.addr = s.Addr()
+	c.srv.Store(s)
 	return nil
+}
+
+func (c *inprocControl) Kill() error {
+	return c.srv.Load().Close()
+}
+
+func (c *inprocControl) Restart() error {
+	return c.start(true)
+}
+
+// ServeHTTP forwards to the current life's admin surface.
+func (c *inprocControl) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	c.srv.Load().AdminHandler().ServeHTTP(w, r)
 }
 
 // TestLoadHarnessShortRun is the tier-1 end-to-end gate over the wire stack:
 // a real server and the open-loop generator run in-process, the server is
 // killed and recovered mid-run, and the resulting capacity report must
-// validate — schema, non-zero latency quantiles, monotone ramp, and the
-// SIGKILL → recover → SLO-restored sequencing.
+// validate — schema, non-zero latency quantiles, monotone ramp, the
+// SIGKILL → recover → SLO-restored sequencing, and the admin-surface
+// evidence of both server lives.
 func TestLoadHarnessShortRun(t *testing.T) {
-	dir := t.TempDir()
-	srv := startInprocServer(t, "127.0.0.1:0")
-	if err := srv.SetPersist(dir, 0); err != nil {
-		t.Fatalf("persist: %v", err)
+	ctl := &inprocControl{t: t, addr: "127.0.0.1:0", dir: t.TempDir(), dumps: t.TempDir()}
+	if err := ctl.start(false); err != nil {
+		t.Fatalf("server: %v", err)
 	}
-	addr := srv.Addr()
-	ctl := &inprocControl{addr: addr, dir: dir, srv: srv}
-	t.Cleanup(func() { _ = ctl.srv.Close() })
-
-	// Flight recorder + admin surface on the first server life: the harness
-	// resolves the worst-ack trace before the drill kills this process, so
-	// the restarted life needs neither.
-	fr := obs.NewFlightRecorder(8192, t.TempDir())
-	t.Cleanup(fr.Close)
-	srv.SetFlightRecorder(fr)
-	admin := httptest.NewServer(srv.AdminHandler())
+	t.Cleanup(func() { _ = ctl.srv.Load().Close() })
+	admin := httptest.NewServer(ctl)
 	t.Cleanup(admin.Close)
 
 	reg := obs.NewRegistry()
 	cfg := Config{
-		Addr:             addr,
+		Addr:             ctl.addr,
 		Seed:             42,
 		Sessions:         4,
 		StageMultipliers: []int{1, 2},
@@ -113,7 +113,7 @@ func TestLoadHarnessShortRun(t *testing.T) {
 		SLOP99:           2 * time.Second, // generous: CI boxes are slow, the schema is the test
 		Recovery:         &RecoveryConfig{Control: ctl, Timeout: 20 * time.Second},
 		Registry:         reg,
-		FlightURL:        admin.URL + "/debug/flightrec",
+		AdminURL:         admin.URL,
 	}
 	report, err := Run(cfg)
 	if err != nil {
@@ -146,12 +146,21 @@ func TestLoadHarnessShortRun(t *testing.T) {
 
 	// The worst-ack trace must resolve to a complete causal chain — causing
 	// wire event plus the grant it produced — in the flight-recorder ring.
-	if !report.Flight.Checked || report.Flight.Trace == 0 {
+	if report.Flight.Trace == 0 {
 		t.Errorf("flight check did not run: %+v", report.Flight)
 	}
 	if !report.Flight.Complete {
 		t.Errorf("worst-ack trace %#x chain incomplete: %d events, kinds %v",
 			report.Flight.Trace, report.Flight.Events, report.Flight.Kinds)
+	}
+
+	// Both server lives' admin surfaces were scraped and judged.
+	if report.Server == nil || report.Recovered == nil {
+		t.Fatalf("admin evidence not gathered from both lives: server %+v, recovered %+v", report.Server, report.Recovered)
+	}
+	if !report.Server.StatsBatch || !report.Recovered.StatsBatch {
+		t.Errorf("two-worker server lives show no batch pipeline: first %v, recovered %v",
+			report.Server.StatsBatch, report.Recovered.StatsBatch)
 	}
 
 	// SIGKILL → recover → SLO-restored sequencing, all finite.

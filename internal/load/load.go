@@ -34,12 +34,9 @@
 package load
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,15 +112,11 @@ type Config struct {
 	// Registry, when non-nil, receives the client-side metric families
 	// (NewMetrics) for scraping alongside the report.
 	Registry *obs.Registry
-	// MetricsURL, when non-empty, is the server's /metrics endpoint; selected
-	// family sums are scraped into the report's server section at run end.
-	MetricsURL string
-	// FlightURL, when non-empty, is the server's /debug/flightrec endpoint.
-	// At the end of the ramp (before any recovery drill restarts the server
-	// and resets its ring) the harness resolves the run's worst update-ack
-	// trace ID against the flight recorder and folds the outcome into the
-	// report's flight section.
-	FlightURL string
+	// AdminURL, when non-empty, is the server's admin endpoint base URL
+	// (http://host:port). The harness scrapes it into the report's server
+	// and flight blocks at the end of the ramp, and into its recovered block
+	// after a drill; a failed get or a malformed body fails the run.
+	AdminURL string
 	// Logf receives progress lines; nil silences the harness.
 	Logf func(format string, args ...interface{})
 }
@@ -210,45 +203,33 @@ const queryIDBase = 1_000_000
 // determinism is by construction: only Seed and the counts shape the result.
 func workloadQueries(cfg Config) []querySpec {
 	var specs []querySpec
-	qi := uint64(0)
-	place := func() (*rand.Rand, uint64) {
-		qi++
-		return rand.New(rand.NewSource(sessionSeed(cfg.Seed, 1<<40+qi))), qi
-	}
-	w, h := cfg.Space.Width(), cfg.Space.Height()
-	for i := 0; i < cfg.RangeQueries; i++ {
-		rng, id := place()
-		x := cfg.Space.MinX + rng.Float64()*w*0.9
-		y := cfg.Space.MinY + rng.Float64()*h*0.9
-		specs = append(specs, querySpec{
-			id: query.ID(queryIDBase + id), kind: core.KindRange,
-			rect: geom.R(x, y, x+0.1*w, y+0.1*h),
-		})
-	}
-	for i := 0; i < cfg.CircleQueries; i++ {
-		rng, id := place()
-		specs = append(specs, querySpec{
-			id: query.ID(queryIDBase + id), kind: core.KindCircle,
-			center: geom.Pt(cfg.Space.MinX+rng.Float64()*w, cfg.Space.MinY+rng.Float64()*h),
-			radius: 0.05 * w,
-		})
-	}
-	for i := 0; i < cfg.KNNQueries; i++ {
-		rng, id := place()
-		specs = append(specs, querySpec{
-			id: query.ID(queryIDBase + id), kind: core.KindKNN,
-			center: geom.Pt(cfg.Space.MinX+rng.Float64()*w, cfg.Space.MinY+rng.Float64()*h),
-			k:      1 + rng.Intn(4),
-		})
-	}
-	for i := 0; i < cfg.CountQueries; i++ {
-		rng, id := place()
-		x := cfg.Space.MinX + rng.Float64()*w*0.9
-		y := cfg.Space.MinY + rng.Float64()*h*0.9
-		specs = append(specs, querySpec{
-			id: query.ID(queryIDBase + id), kind: core.KindCount,
-			rect: geom.R(x, y, x+0.1*w, y+0.1*h),
-		})
+	sp := cfg.Space
+	w, h := sp.Width(), sp.Height()
+	for _, mix := range []struct {
+		kind string
+		n    int
+	}{
+		{core.KindRange, cfg.RangeQueries}, {core.KindCircle, cfg.CircleQueries},
+		{core.KindKNN, cfg.KNNQueries}, {core.KindCount, cfg.CountQueries},
+	} {
+		for i := 0; i < mix.n; i++ {
+			qi := uint64(len(specs) + 1)
+			rng := rand.New(rand.NewSource(sessionSeed(cfg.Seed, 1<<40+qi)))
+			q := querySpec{id: query.ID(queryIDBase + qi), kind: mix.kind}
+			switch mix.kind {
+			case core.KindRange, core.KindCount:
+				x := sp.MinX + rng.Float64()*w*0.9
+				y := sp.MinY + rng.Float64()*h*0.9
+				q.rect = geom.R(x, y, x+0.1*w, y+0.1*h)
+			case core.KindCircle:
+				q.center = geom.Pt(sp.MinX+rng.Float64()*w, sp.MinY+rng.Float64()*h)
+				q.radius = 0.05 * w
+			case core.KindKNN:
+				q.center = geom.Pt(sp.MinX+rng.Float64()*w, sp.MinY+rng.Float64()*h)
+				q.k = 1 + rng.Intn(4)
+			}
+			specs = append(specs, q)
+		}
 	}
 	return specs
 }
@@ -441,7 +422,7 @@ func Run(cfg Config) (*Report, error) {
 		},
 	}
 
-	prober := newProber(h, cfg.Addr)
+	prober := newProber(h, probeIDBase, 2*time.Second, 1<<44)
 	h.wg.Add(1)
 	go prober.loop()
 
@@ -496,10 +477,14 @@ func Run(cfg Config) (*Report, error) {
 	}
 	report.Capacity.SessionsPerCore = float64(report.Capacity.MaxSessionsAtSLO) / float64(report.Cores)
 
-	// Resolve the worst tail's causal chain before the drill: a recovery
-	// restart would replace the server process and its flight-recorder ring.
-	if cfg.FlightURL != "" {
-		report.Flight = checkFlight(cfg.FlightURL, report.Stages)
+	// Gather the first server life's evidence before the drill: a recovery
+	// restart would replace the server process, its counters and its ring.
+	if cfg.AdminURL != "" {
+		var events []obs.FlightEvent
+		if report.Server, events, err = scrapeServer(cfg.AdminURL); err != nil {
+			return nil, err
+		}
+		report.Flight = checkFlight(events, report.Stages)
 		cfg.Logf("load: flight: trace %#x (stage %d): %d events %v, complete=%v",
 			report.Flight.Trace, report.Flight.Stage+1, report.Flight.Events,
 			report.Flight.Kinds, report.Flight.Complete)
@@ -512,10 +497,15 @@ func Run(cfg Config) (*Report, error) {
 		}
 		rec.Reconnects = h.reconnects() - lastReconnects
 		report.Recovery = rec
-	}
-
-	if cfg.MetricsURL != "" {
-		report.Server = scrapeServer(cfg.MetricsURL)
+		if cfg.AdminURL != "" {
+			if report.Recovered, err = scrapeRecovered(cfg.AdminURL, report.Server.StatsBatch); err != nil {
+				return nil, err
+			}
+			a := report.Recovered
+			cfg.Logf("load: recovered server: %g entries replayed, %g reconnects, %g regions re-pushed, %d trace events, %d retired queries, %d traced reconnect events",
+				a.Families["srb_server_replay_entries"], a.Families["srb_server_reconnects_total"],
+				a.Families["srb_server_region_repush_total"], a.TraceEvents, a.RetiredQueries, a.ReconnectEvents)
+		}
 	}
 	return report, nil
 }
@@ -594,97 +584,4 @@ func (h *harness) shutdown() {
 	}
 	h.wg.Wait()
 	h.m.Sessions.Set(0)
-}
-
-// checkFlight resolves the ramp's worst update-ack trace against the
-// server's flight-recorder ring: it picks the stage with the largest worst
-// ack, streams the /debug/flightrec NDJSON, and classifies the events
-// carrying that trace. A complete chain has both the causing wire event
-// (update receipt, session resume, or query registration) and the
-// safe-region grant it produced.
-func checkFlight(url string, stages []StageReport) FlightCheck {
-	fc := FlightCheck{Checked: true}
-	for i, st := range stages {
-		if st.WorstAckTrace != 0 && st.WorstAckSeconds >= stages[fc.Stage].WorstAckSeconds {
-			fc.Stage, fc.Trace = i, st.WorstAckTrace
-		}
-	}
-	if fc.Trace == 0 {
-		return fc
-	}
-	resp, err := http.Get(url)
-	if err != nil {
-		return fc
-	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	var cause, grant bool
-	for {
-		var ev obs.FlightEvent
-		if err := dec.Decode(&ev); err != nil {
-			break
-		}
-		if ev.Trace != fc.Trace {
-			continue
-		}
-		fc.Events++
-		fc.Kinds = appendUnique(fc.Kinds, ev.Kind)
-		switch ev.Kind {
-		case obs.FlightUpdate, obs.FlightReconnect, obs.FlightRegister:
-			cause = true
-		case obs.FlightGrant:
-			grant = true
-		}
-	}
-	fc.Complete = cause && grant
-	return fc
-}
-
-// appendUnique appends s if absent (kind lists are tiny; linear scan wins).
-func appendUnique(list []string, s string) []string {
-	for _, have := range list {
-		if have == s {
-			return list
-		}
-	}
-	return append(list, s)
-}
-
-// scrapedFamilies is the server-side family selection folded into the report.
-var scrapedFamilies = []string{
-	"srb_updates_total",
-	"srb_probes_total",
-	"srb_server_clients",
-	"srb_server_reconnects_total",
-	"srb_server_journal_entries_total",
-	"srb_server_replay_entries",
-}
-
-// scrapeServer pulls the selected family sums from a /metrics endpoint.
-// Scrape failures yield an empty map: the server-side view is corroborating
-// evidence, not a gating input.
-func scrapeServer(url string) map[string]float64 {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	fams, err := obs.ParseText(resp.Body)
-	if err != nil {
-		return nil
-	}
-	out := make(map[string]float64)
-	sort.Strings(scrapedFamilies)
-	for _, name := range scrapedFamilies {
-		f := fams[name]
-		if f == nil {
-			continue
-		}
-		var sum float64
-		for _, v := range f.Samples {
-			sum += v
-		}
-		out[name] = sum
-	}
-	return out
 }

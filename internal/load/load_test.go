@@ -119,6 +119,10 @@ func TestConfigDefaultsValidation(t *testing.T) {
 
 // validReport builds a report that passes Validate, for mutation tests.
 func validReport() *Report {
+	recovered := make(map[string]float64)
+	for _, name := range ServerFamilies {
+		recovered[name] = 1
+	}
 	mk := func(n int64) LatencySummary {
 		return LatencySummary{Count: n, P50: 0.001, P99: 0.004, P999: 0.009, Mean: 0.002}
 	}
@@ -134,10 +138,15 @@ func validReport() *Report {
 				WorstAckSeconds: 0.031, WorstAckTrace: 0xfeedface, MetSLO: false},
 		},
 		Capacity: CapacityReport{SLOP99Seconds: 0.05, MaxSessionsAtSLO: 8, SessionsPerCore: 2, Saturated: true},
-		Flight: FlightCheck{Checked: true, Trace: 0xfeedface, Stage: 1, Events: 3,
+		Flight: FlightCheck{Trace: 0xfeedface, Stage: 1, Events: 3,
 			Kinds: []string{"update", "probe", "grant"}, Complete: true},
 		Recovery: RecoveryReport{Performed: true, KillAtSeconds: 10, RecoveredAtSeconds: 10.4,
 			SLORestoredAtSeconds: 10.9, RTOSeconds: 0.4, SLORestoreSeconds: 0.9},
+		Server: &ServerEvidence{Families: map[string]float64{"srb_updates_total": 500,
+			"srb_reevaluations_total": 300, "srb_server_journal_entries_total": 800},
+			Hot: []HotQuery{{Query: 1_000_003, Reevals: 40, WireBytes: 9000}}, StatsBatch: true},
+		Recovered: &ServerEvidence{Families: recovered, TraceEvents: 10_000, RetiredQueries: 33,
+			StatsBatch: true, FlightEvents: 8192, ReconnectEvents: 32},
 	}
 }
 
@@ -174,6 +183,30 @@ func TestReportValidateNegatives(t *testing.T) {
 		{"zero RTO", func(r *Report) { r.Recovery.RTOSeconds = 0 }, "rto_seconds"},
 		{"recovery before kill", func(r *Report) { r.Recovery.RecoveredAtSeconds = 9 }, "sequencing"},
 		{"restore before kill", func(r *Report) { r.Recovery.SLORestoredAtSeconds = 9 }, "sequencing"},
+		{"restore before recovery", func(r *Report) { r.Recovery.SLORestoredAtSeconds = 10.2 }, "before the server recovered"},
+		{"ramp updates stuck", func(r *Report) { delete(r.Server.Families, "srb_updates_total") }, "srb_updates_total"},
+		{"ramp reevaluations stuck", func(r *Report) { r.Server.Families["srb_reevaluations_total"] = 0 }, "srb_reevaluations_total"},
+		{"journal idle", func(r *Report) { r.Server.Families["srb_server_journal_entries_total"] = 0 }, "srb_server_journal_entries_total"},
+		{"empty hot list", func(r *Report) { r.Server.Hot = nil }, "hot list empty"},
+		{"hot entry without ID", func(r *Report) { r.Server.Hot[0].Query = 0 }, "no query ID"},
+		{"hot entry booked no work", func(r *Report) { r.Server.Hot[0].Reevals, r.Server.Hot[0].WireBytes = 0, 0 }, "booked no work"},
+		{"recovered updates stuck", func(r *Report) { r.Recovered.Families["srb_updates_total"] = 0 }, "recovered server srb_updates_total"},
+		{"recovered reevaluations stuck", func(r *Report) { r.Recovered.Families["srb_reevaluations_total"] = 0 }, "recovered server srb_reevaluations_total"},
+		{"no journal replay", func(r *Report) { r.Recovered.Families["srb_server_replay_entries"] = 0 }, "srb_server_replay_entries"},
+		{"no reconnects", func(r *Report) { r.Recovered.Families["srb_server_reconnects_total"] = 0 }, "srb_server_reconnects_total"},
+		{"no region re-push", func(r *Report) { r.Recovered.Families["srb_server_region_repush_total"] = 0 }, "srb_server_region_repush_total"},
+		{"family missing", func(r *Report) { delete(r.Recovered.Families, "srb_batch_fastpath_fraction") }, "srb_batch_fastpath_fraction"},
+		{"empty trace", func(r *Report) { r.Recovered.TraceEvents = 0 }, "/trace"},
+		{"nothing retired", func(r *Report) { r.Recovered.RetiredQueries = 0 }, "retired no ledger entries"},
+		{"no batch section", func(r *Report) { r.Recovered.StatsBatch = false }, "batch section"},
+		{"batch family lost on restart", func(r *Report) { delete(r.Recovered.Families, "srb_batch_batches_total") }, "srb_batch_batches_total"},
+		{"sequential server misses a family", func(r *Report) {
+			r.Server.StatsBatch, r.Recovered.StatsBatch = false, false
+			delete(r.Recovered.Families, "srb_server_clients")
+		}, "srb_server_clients"},
+		{"empty flight recorder", func(r *Report) { r.Recovered.FlightEvents = 0 }, "is empty"},
+		{"recovered server not scraped", func(r *Report) { r.Recovered = nil }, "not scraped"},
+		{"no traced reconnects", func(r *Report) { r.Recovered.ReconnectEvents = 0 }, "traced reconnect"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,11 +222,32 @@ func TestReportValidateNegatives(t *testing.T) {
 		})
 	}
 
-	// A drill-free report must not be judged on its zeroed recovery block.
+	// A drill-free report must not be judged on its zeroed recovery block, nor
+	// on the recovered-life admin evidence it cannot have.
 	r := validReport()
-	r.Recovery = RecoveryReport{}
+	r.Recovery, r.Recovered = RecoveryReport{}, nil
 	if err := r.Validate(); err != nil {
 		t.Fatalf("report without a drill rejected: %v", err)
+	}
+
+	// A sequential server (-workers 0) serves no batch families and no /stats
+	// batch section on either life; its drill is judged without them.
+	r = validReport()
+	r.Server.StatsBatch, r.Recovered.StatsBatch = false, false
+	for _, name := range ServerFamilies {
+		if strings.HasPrefix(name, "srb_batch_") {
+			delete(r.Recovered.Families, name)
+		}
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatalf("sequential-server report rejected: %v", err)
+	}
+
+	// Nor is a report without an admin endpoint judged on its evidence.
+	r = validReport()
+	r.Server, r.Recovered, r.Flight = nil, nil, FlightCheck{}
+	if err := r.Validate(); err != nil {
+		t.Fatalf("report without an admin endpoint rejected: %v", err)
 	}
 }
 

@@ -17,34 +17,36 @@ const probeIDBase = 2_000_000
 // flow when objects leave their safe regions, the probe exercises the full
 // event loop on schedule and its RTT is measurable even on an idle fleet.
 type prober struct {
-	h    *harness
-	addr string
-	app  *remote.AppClient
-	rect geom.Rect
-	next uint64
+	h       *harness
+	app     *remote.AppClient
+	gone    chan struct{} // closed once app's connection is lost
+	rect    geom.Rect
+	next    query.ID // last query ID issued
+	timeout time.Duration
+	seed    int64
 }
 
-// newProber builds the prober; its connection dials lazily on first use so a
-// server that is briefly down only costs that probe.
-func newProber(h *harness, addr string) *prober {
+// newProber builds a prober issuing query IDs above idBase, with the given
+// round-trip timeout and an RNG stream salted by salt. Its connection dials
+// lazily on first use, so a server that is briefly down only costs that
+// probe.
+func newProber(h *harness, idBase query.ID, timeout time.Duration, salt uint64) *prober {
 	// A tiny rect in a deterministic corner of the space: cheap to evaluate,
 	// and identical across runs with the same seed.
 	sp := h.cfg.Space
 	return &prober{
-		h:    h,
-		addr: addr,
-		rect: geom.R(sp.MinX, sp.MinY, sp.MinX+0.01*sp.Width(), sp.MinY+0.01*sp.Height()),
+		h:       h,
+		rect:    geom.R(sp.MinX, sp.MinY, sp.MinX+0.01*sp.Width(), sp.MinY+0.01*sp.Height()),
+		next:    idBase,
+		timeout: timeout,
+		seed:    sessionSeed(h.cfg.Seed, salt),
 	}
 }
 
 // loop runs until the harness shuts down, issuing one probe per interval.
 func (p *prober) loop() {
 	defer p.h.wg.Done()
-	defer func() {
-		if p.app != nil {
-			_ = p.app.Close()
-		}
-	}()
+	defer p.close()
 	ticker := time.NewTicker(p.h.cfg.ProbeEvery)
 	defer ticker.Stop()
 	for {
@@ -60,39 +62,53 @@ func (p *prober) loop() {
 
 // once performs one probe round trip and returns its latency.
 func (p *prober) once() (float64, error) {
+	select {
+	case <-p.gone:
+		// The server went away (a drill kill): a probe sent on the dead conn
+		// would wait out its whole timeout, so re-dial instead.
+		p.close()
+	default:
+	}
 	if p.app == nil {
-		app, err := remote.DialAppOpts(p.addr, remote.AppOptions{
-			RPCTimeout:  2 * time.Second,
+		app, err := remote.DialAppOpts(p.h.cfg.Addr, remote.AppOptions{
+			RPCTimeout:  p.timeout,
 			RPCAttempts: 1,
-			Seed:        sessionSeed(p.h.cfg.Seed, 1<<44),
+			Seed:        p.seed,
 		})
 		if err != nil {
 			return 0, err
 		}
 		app.SetLogf(nil)
-		p.app = app
+		gone := make(chan struct{})
+		p.app, p.gone = app, gone
 		p.h.wg.Add(1)
 		go func() {
 			defer p.h.wg.Done()
 			for range app.Updates() {
 			}
+			close(gone)
 		}()
 	}
 	p.next++
-	qid := query.ID(probeIDBase + p.next)
 	t0 := time.Now()
-	_, err := p.app.RegisterCount(qid, p.rect)
+	_, err := p.app.RegisterCount(p.next, p.rect)
 	lat := time.Since(t0).Seconds()
 	if err != nil {
 		// The conn may be dead (server crash): drop it so the next probe
 		// re-dials instead of failing forever.
-		_ = p.app.Close()
-		p.app = nil
+		p.close()
 		return 0, err
 	}
-	if err := p.app.Deregister(qid); err != nil {
+	if err := p.app.Deregister(p.next); err != nil {
+		p.close()
+	}
+	return lat, nil
+}
+
+// close drops the prober's connection, if any.
+func (p *prober) close() {
+	if p.app != nil {
 		_ = p.app.Close()
 		p.app = nil
 	}
-	return lat, nil
 }

@@ -3,16 +3,13 @@ package load
 import (
 	"fmt"
 	"time"
-
-	"srb/internal/geom"
-	"srb/internal/query"
-	"srb/internal/remote"
 )
 
 // recoveryDrill measures the recovery-time objective: kill the server with
 // sessions live, restart it into journal recovery, and time (a) how long
-// until a probe round trip first succeeds against the restarted event loop
-// and (b) how long until the update path is back within the SLO. The fleet's
+// until the restarted event loop first answers — a probe round trip or a
+// within-SLO update ack, whichever comes first — and (b) how long until the
+// update path is back within the SLO. The fleet's
 // auto-reconnecting sessions resume their leases throughout, so the drill
 // exercises journal replay, lease resume, and region re-push together.
 func (h *harness) recoveryDrill(rc *RecoveryConfig) (RecoveryReport, error) {
@@ -48,6 +45,11 @@ func (h *harness) recoveryDrill(rc *RecoveryConfig) (RecoveryReport, error) {
 		return RecoveryReport{}, fmt.Errorf("load: harness shut down during the recovery drill")
 	}
 	cfg.Logf("load: recovery drill: SLO restored %.3fs after kill", restoredAt.Sub(killAt).Seconds())
+	// Sessions may get an ack from the recovered life while the paced probe
+	// loop is still dialling; that ack proves the event loop up just as well.
+	if restoredAt.Before(recoveredAt) {
+		recoveredAt = restoredAt
+	}
 
 	return RecoveryReport{
 		Performed:            true,
@@ -63,40 +65,18 @@ func (h *harness) recoveryDrill(rc *RecoveryConfig) (RecoveryReport, error) {
 // a fresh dial plus a COUNT registration — until one completes, proving the
 // listener is up AND the event loop is processing (journal replay done).
 func (h *harness) waitServerReady(deadline time.Time) (time.Time, error) {
-	sp := h.cfg.Space
-	rect := geom.R(sp.MinX, sp.MinY, sp.MinX+0.01*sp.Width(), sp.MinY+0.01*sp.Height())
-	n := uint64(0)
+	p := newProber(h, probeIDBase+500_000, 500*time.Millisecond, 1<<45)
+	defer p.close()
 	for time.Now().Before(deadline) {
 		select {
 		case <-h.done:
 			return time.Time{}, fmt.Errorf("load: harness shut down during the recovery drill")
 		default:
 		}
-		n++
-		if t, ok := h.tryProbe(rect, n); ok {
-			return t, nil
+		if _, err := p.once(); err == nil {
+			return time.Now(), nil
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 	return time.Time{}, fmt.Errorf("load: server did not answer a probe round trip within the drill timeout")
-}
-
-// tryProbe runs one throwaway probe round trip against the server.
-func (h *harness) tryProbe(rect geom.Rect, n uint64) (time.Time, bool) {
-	app, err := remote.DialAppOpts(h.cfg.Addr, remote.AppOptions{
-		RPCTimeout:  500 * time.Millisecond,
-		RPCAttempts: 1,
-		Seed:        sessionSeed(h.cfg.Seed, 1<<45+n),
-	})
-	if err != nil {
-		return time.Time{}, false
-	}
-	app.SetLogf(nil)
-	defer app.Close()
-	qid := query.ID(probeIDBase + 500_000 + n)
-	if _, err := app.RegisterCount(qid, rect); err != nil {
-		return time.Time{}, false
-	}
-	_ = app.Deregister(qid)
-	return time.Now(), true
 }

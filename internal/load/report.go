@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 
 	"srb/internal/obs"
 )
@@ -12,8 +13,9 @@ import (
 // ReportSchema identifies the capacity-report JSON layout; bump it when a
 // field changes meaning so downstream diffing tools can refuse mixed files.
 // v2 added the per-stage worst-ack latency and its causal trace ID
-// (worst_ack_seconds / worst_ack_trace).
-const ReportSchema = "srb-load/v2"
+// (worst_ack_seconds / worst_ack_trace); v3 turned the server block into
+// gating ServerEvidence and added the recovered block.
+const ReportSchema = "srb-load/v3"
 
 // LatencySummary is the quantile digest of one latency histogram, in seconds.
 type LatencySummary struct {
@@ -92,14 +94,17 @@ type RecoveryReport struct {
 	// Performed distinguishes a measured drill from a run without one.
 	Performed bool `json:"performed"`
 	// KillAtSeconds, RecoveredAtSeconds and SLORestoredAtSeconds are offsets
-	// from the run start: when the server was killed, when a probe round trip
-	// first succeeded against the restarted server, and when the first
-	// post-restart update ack within the SLO was observed.
+	// from the run start: when the server was killed, when the restarted
+	// server first answered (a probe round trip or a within-SLO update ack,
+	// whichever came first), and when the first post-restart update ack
+	// within the SLO was observed.
 	KillAtSeconds        float64 `json:"kill_at_seconds"`
 	RecoveredAtSeconds   float64 `json:"recovered_at_seconds"`
 	SLORestoredAtSeconds float64 `json:"slo_restored_at_seconds"`
 	// RTOSeconds is RecoveredAtSeconds - KillAtSeconds: the recovery-time
-	// objective actually measured (restart + journal replay + event loop up).
+	// objective actually measured (restart + journal replay + event loop up,
+	// proven by the first probe round trip or within-SLO ack, whichever came
+	// first, so it never exceeds SLORestoreSeconds).
 	RTOSeconds float64 `json:"rto_seconds"`
 	// SLORestoreSeconds is SLORestoredAtSeconds - KillAtSeconds: kill until
 	// the update path was back within the latency objective.
@@ -111,11 +116,9 @@ type RecoveryReport struct {
 // FlightCheck is the outcome of resolving the run's worst update-ack trace
 // ID against the server's flight recorder (/debug/flightrec): the black-box
 // proof that the tail event's causal chain — update receipt through
-// safe-region grant — survived into the post-mortem evidence.
+// safe-region grant — survived into the post-mortem evidence. It is zero
+// without an admin endpoint.
 type FlightCheck struct {
-	// Checked distinguishes a performed resolution from a run without a
-	// flight endpoint configured.
-	Checked bool `json:"checked"`
 	// Trace is the worst update-ack trace ID that was looked up, and Stage
 	// the zero-based ramp stage it came from.
 	Trace uint64 `json:"trace"`
@@ -127,6 +130,33 @@ type FlightCheck struct {
 	// Complete reports a full causal chain: both the causing wire event and
 	// the safe-region grant it produced were retained.
 	Complete bool `json:"complete"`
+}
+
+// HotQuery is the part of one /queries ledger entry the harness judges.
+type HotQuery struct {
+	Query     uint64 `json:"query"`
+	Reevals   int64  `json:"reevals"`
+	WireBytes int64  `json:"wire_bytes"`
+}
+
+// ServerEvidence is what one server life's admin endpoint showed the
+// harness.
+type ServerEvidence struct {
+	// Families holds each ServerFamilies family's /metrics sample sum; a
+	// family the scrape lacked, or served without samples, is absent.
+	Families map[string]float64 `json:"families"`
+	// Hot is /queries?k=5's hot list, hottest first, and RetiredQueries the
+	// ledger's retired_queries count.
+	Hot            []HotQuery `json:"hot"`
+	RetiredQueries int64      `json:"retired_queries"`
+	// TraceEvents counts /trace's Chrome traceEvents entries.
+	TraceEvents int `json:"trace_events"`
+	// StatsBatch reports whether /stats carries the batch pipeline section.
+	StatsBatch bool `json:"stats_batch"`
+	// FlightEvents counts /debug/flightrec's events, and ReconnectEvents the
+	// reconnect events among them that carry a causal trace ID.
+	FlightEvents    int `json:"flight_events"`
+	ReconnectEvents int `json:"reconnect_events"`
 }
 
 // ConfigEcho pins the inputs that shaped the run into the report, so two
@@ -157,16 +187,20 @@ type Report struct {
 	Capacity CapacityReport `json:"capacity"`
 	Recovery RecoveryReport `json:"recovery"`
 	Flight   FlightCheck    `json:"flight"`
-	// Server holds selected family sums scraped from the server's /metrics at
-	// the end of the run (empty when no metrics URL was configured) — the
-	// server-side view to hold against the client-side latencies above.
-	Server map[string]float64 `json:"server,omitempty"`
+	// Server is the first server life's evidence, gathered at the end of the
+	// ramp before any drill replaces the process: the server-side view to
+	// hold against the stages' client-side latencies. Recovered is the
+	// recovered life's, gathered after the drill. Both are nil without an
+	// admin endpoint, and Recovered without a drill.
+	Server    *ServerEvidence `json:"server,omitempty"`
+	Recovered *ServerEvidence `json:"recovered,omitempty"`
 }
 
 // Validate checks the report is well-formed and the run measured something: a
 // recognized schema, a monotone session ramp, non-zero latency quantiles, a
 // capacity figure at the SLO, and — when a drill ran — a finite, correctly
-// sequenced recovery timeline. The CI smoke gate and the tier-1 integration
+// sequenced recovery timeline; with an admin endpoint, also the server's own
+// evidence (validateServer). The CI smoke gate and the tier-1 integration
 // test both fail on the first violated property.
 func (r *Report) Validate() error {
 	if r.Schema != ReportSchema {
@@ -227,17 +261,6 @@ func (r *Report) Validate() error {
 	if r.Capacity.SessionsPerCore <= 0 {
 		return fmt.Errorf("load: sessions-per-core capacity not measured")
 	}
-	if r.Flight.Checked {
-		if r.Flight.Trace == 0 {
-			return fmt.Errorf("load: flight check ran but found no worst-ack trace to resolve")
-		}
-		if r.Flight.Events == 0 {
-			return fmt.Errorf("load: worst-ack trace %#x resolved to no flight-recorder events", r.Flight.Trace)
-		}
-		if !r.Flight.Complete {
-			return fmt.Errorf("load: worst-ack trace %#x causal chain incomplete: kinds %v", r.Flight.Trace, r.Flight.Kinds)
-		}
-	}
 	if r.Recovery.Performed {
 		rec := r.Recovery
 		for name, v := range map[string]float64{
@@ -254,10 +277,84 @@ func (r *Report) Validate() error {
 			return fmt.Errorf("load: recovery sequencing: recovered at %gs not after kill at %gs",
 				rec.RecoveredAtSeconds, rec.KillAtSeconds)
 		}
-		if rec.SLORestoredAtSeconds <= rec.KillAtSeconds {
-			return fmt.Errorf("load: recovery sequencing: SLO restored at %gs not after kill at %gs",
-				rec.SLORestoredAtSeconds, rec.KillAtSeconds)
+		if rec.SLORestoredAtSeconds < rec.RecoveredAtSeconds {
+			return fmt.Errorf("load: recovery sequencing: SLO restored at %gs before the server recovered at %gs",
+				rec.SLORestoredAtSeconds, rec.RecoveredAtSeconds)
 		}
+	}
+	if r.Server != nil {
+		return r.validateServer()
+	}
+	return nil
+}
+
+// validateServer judges the admin-endpoint evidence: the first server life's
+// at the end of the ramp, and the recovered life's when a drill ran.
+func (r *Report) validateServer() error {
+	s, fl := r.Server, r.Flight
+	for _, name := range []string{"srb_updates_total", "srb_reevaluations_total", "srb_server_journal_entries_total"} {
+		if s.Families[name] <= 0 {
+			return fmt.Errorf("load: server %s = %g at the end of the ramp, want > 0", name, s.Families[name])
+		}
+	}
+	if len(s.Hot) == 0 {
+		return fmt.Errorf("load: /queries hot list empty at the end of the ramp")
+	}
+	hot := s.Hot[0]
+	if hot.Query == 0 {
+		return fmt.Errorf("load: /queries hottest entry has no query ID")
+	}
+	if hot.Reevals == 0 && hot.WireBytes == 0 {
+		return fmt.Errorf("load: /queries hottest entry %d booked no work", hot.Query)
+	}
+	if fl.Trace == 0 {
+		return fmt.Errorf("load: flight check found no worst-ack trace to resolve")
+	}
+	if fl.Events == 0 {
+		return fmt.Errorf("load: worst-ack trace %#x resolved to no flight-recorder events", fl.Trace)
+	}
+	if !fl.Complete {
+		return fmt.Errorf("load: worst-ack trace %#x causal chain incomplete: kinds %v", fl.Trace, fl.Kinds)
+	}
+	if !r.Recovery.Performed {
+		return nil
+	}
+	if r.Recovered == nil {
+		return fmt.Errorf("load: recovery drill ran but the recovered server was not scraped")
+	}
+	return r.Recovered.validateRecovered(s.StatsBatch)
+}
+
+// validateRecovered judges the recovered life's evidence. batch reports
+// whether the first life ran the batch pipeline: the batch families and the
+// /stats batch section are required exactly when it did, so a sequential
+// server (-workers 0) drills too, but a restart that lost the pipeline fails.
+func (a *ServerEvidence) validateRecovered(batch bool) error {
+	for _, name := range []string{"srb_updates_total", "srb_reevaluations_total",
+		"srb_server_replay_entries", "srb_server_reconnects_total", "srb_server_region_repush_total"} {
+		if a.Families[name] <= 0 {
+			return fmt.Errorf("load: recovered server %s = %g, want > 0", name, a.Families[name])
+		}
+	}
+	for _, name := range ServerFamilies {
+		if _, ok := a.Families[name]; !ok && (batch || !strings.HasPrefix(name, "srb_batch_")) {
+			return fmt.Errorf("load: recovered server serves no %s samples", name)
+		}
+	}
+	if a.TraceEvents == 0 {
+		return fmt.Errorf("load: recovered server's /trace has no traceEvents")
+	}
+	if a.RetiredQueries == 0 {
+		return fmt.Errorf("load: recovered server's /queries retired no ledger entries")
+	}
+	if batch && !a.StatsBatch {
+		return fmt.Errorf("load: recovered server's /stats has no batch section")
+	}
+	if a.FlightEvents == 0 {
+		return fmt.Errorf("load: recovered server's /debug/flightrec is empty")
+	}
+	if a.ReconnectEvents == 0 {
+		return fmt.Errorf("load: recovered server's /debug/flightrec holds no traced reconnect events (%d events)", a.FlightEvents)
 	}
 	return nil
 }

@@ -23,7 +23,8 @@ type ParsedFamily struct {
 // HELP/TYPE comment lines and `name{labels} value` samples. It verifies that
 // every sample belongs to a declared family (histogram _bucket/_sum/_count
 // suffixes included) and that every family declares both HELP and TYPE.
-// Tests and the obs-smoke gate use it to assert a scrape is well-formed.
+// Tests and the load harness's server scrape (make load-smoke) use it to
+// assert a scrape is well-formed.
 func ParseText(r io.Reader) (map[string]*ParsedFamily, error) {
 	fams := map[string]*ParsedFamily{}
 	haveHelp := map[string]bool{}
