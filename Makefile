@@ -24,7 +24,7 @@ fmt:
 # Project-specific static analysis (internal/analysis): the syntactic checks
 # (floatcmp, lockreentry, sliceescape, bareGoroutine, missingdoc) plus the
 # flow-sensitive v2 suite (lockorder, errdrop, ctxdeadline, distunits), the
-# interprocedural v3 suite (maporder, wallclock, allochot, rwpurity) and the v4
+# interprocedural v3 suite (maporder, wallclock, allochot) and the v4
 # contract suite (chanlife, goroleak, protodrift, atomicmix). Fails on any
 # unsuppressed finding; known hot-path allocation sites are accepted through
 # lint/allochot.baseline.
@@ -32,12 +32,12 @@ lint:
 	$(GO) run ./cmd/srb-lint -baseline lint/allochot.baseline ./...
 
 # Only the interprocedural and contract suites: fails on any
-# maporder/wallclock/rwpurity finding, on allochot sites not in the
+# maporder/wallclock finding, on allochot sites not in the
 # checked-in baseline (the allocation ratchet), and on any
 # chanlife/goroleak/protodrift/atomicmix concurrency- or wire-contract
 # violation.
 lint-ipa:
-	$(GO) run ./cmd/srb-lint -checks maporder,wallclock,allochot,rwpurity,chanlife,goroleak,protodrift,atomicmix -baseline lint/allochot.baseline ./...
+	$(GO) run ./cmd/srb-lint -checks maporder,wallclock,allochot,chanlife,goroleak,protodrift,atomicmix -baseline lint/allochot.baseline ./...
 
 # Regenerate the accepted hot-path allocation inventory after intentional
 # changes; the output is deterministic, so the diff shows exactly the sites

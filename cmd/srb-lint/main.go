@@ -10,10 +10,10 @@
 // mixing) — and the interprocedural v3 checks built on the module call graph
 // and bottom-up summaries: maporder (map-iteration order reaching ordered
 // sinks), wallclock (time.Now/global-rand reads reachable from the
-// deterministic packages), allochot (allocation sites reachable from
-// //srb:hotpath roots, gated by a checked-in baseline) and rwpurity (writes
-// under an RWMutex read lock) — and the v4 contract checks combining the
-// call graph, the CFG engine and the type checker's constant information:
+// deterministic packages) and allochot (allocation sites reachable from
+// //srb:hotpath roots, gated by a checked-in baseline) — and the v4 contract
+// checks combining the call graph, the CFG engine and the type checker's
+// constant information:
 // chanlife (channel lifecycle: sends with no receiver, receive-side or
 // unguarded double closes, blocking channel operations under a mutex),
 // goroleak (goroutines in cmd/, internal/remote and internal/parallel whose

@@ -19,10 +19,9 @@
 // mixing (distunits). The interprocedural checks, built on the module call
 // graph and bottom-up function summaries in callgraph.go and summary.go: map
 // iteration order reaching ordered sinks (maporder), wall-clock/global-rand
-// reads reaching the deterministic packages (wallclock), allocation sites
+// reads reaching the deterministic packages (wallclock), and allocation sites
 // reachable from //srb:hotpath roots against a checked-in baseline
-// (allochot), and writes performed under ParallelMonitor's read lock
-// (rwpurity). The contract checks, combining the call graph, the CFG engine
+// (allochot). The contract checks, combining the call graph, the CFG engine
 // and the type checker's constant information: channel lifecycle — sends
 // without receivers, receive-side or double closes, blocking channel
 // operations under a mutex (chanlife); goroutine termination — infinite
@@ -122,7 +121,7 @@ func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ..
 func All() []*Analyzer {
 	return []*Analyzer{FloatCmp, LockReentry, SliceEscape, BareGoroutine,
 		MissingDoc, LockOrder, ErrDrop, CtxDeadline, DistUnits,
-		MapOrder, WallClock, AllocHot, RWPurity,
+		MapOrder, WallClock, AllocHot,
 		ChanLife, GoroLeak, ProtoDrift, AtomicMix}
 }
 

@@ -145,8 +145,19 @@ func bad(m *Monitor) {
 func good(m *Monitor) {
 	register(func(id uint64) int { return int(id) })
 }
+
+type ParallelMonitor struct{ n int }
+
+func (c *ParallelMonitor) SafeRegion(id uint64) {}
+
+func badParallel(c *ParallelMonitor) {
+	register(func(id uint64) int {
+		c.SafeRegion(id) // runs while c's lock is held: deadlocks
+		return 0
+	})
+}
 `)
-	wantLines(t, RunPackage(pkg, []*Analyzer{LockReentry}), []int{13}, nil)
+	wantLines(t, RunPackage(pkg, []*Analyzer{LockReentry}), []int{13, 28}, nil)
 }
 
 func TestSliceEscape(t *testing.T) {

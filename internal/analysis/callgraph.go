@@ -1,7 +1,8 @@
 package analysis
 
 // callgraph.go builds the module-wide static call graph underlying the
-// interprocedural (v3) analyzers: maporder, wallclock, allochot and rwpurity.
+// interprocedural (v3) analyzers maporder, wallclock and allochot, and the
+// contract check goroleak.
 //
 // Nodes are function and method declarations of the analyzed packages,
 // identified by the same cross-package-stable funcID strings the lockorder
@@ -55,9 +56,6 @@ type CGNode struct {
 	// Hot and Cold reflect //srb:hotpath and //srb:coldpath doc markers.
 	Hot  bool
 	Cold bool
-
-	graph   *CallGraph                // back-pointer for module-membership lookups
-	derived map[types.Object]rootKind // rootSets cache (summary.go)
 }
 
 // CallGraph is the module-wide call graph plus its SCC condensation.
@@ -93,7 +91,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				n := &CGNode{ID: funcID(obj), Pkg: pkg, Decl: fd, graph: cg}
+				n := &CGNode{ID: funcID(obj), Pkg: pkg, Decl: fd}
 				n.Hot = docHasMarker(fd, hotpathMarker)
 				n.Cold = docHasMarker(fd, coldpathMarker)
 				cg.Nodes[n.ID] = n

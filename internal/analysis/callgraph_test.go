@@ -219,27 +219,3 @@ func pure(a, b int) int { return a + b }
 		t.Errorf("summary of pure should be empty, got %+v", s)
 	}
 }
-
-func TestSummaryWritesReceiverThroughCallee(t *testing.T) {
-	pkg := loadSource(t, "srb/internal/fixture", `package fixture
-
-type box struct{ n int }
-
-func (b *box) bump() { b.n++ }
-
-func (b *box) indirect() { b.bump() }
-
-func (b *box) read() int { return b.n }
-`)
-	_, sums := ComputeSummaries([]*Package{pkg})
-	id := func(name string) string { return "srb/internal/fixture.box." + name }
-	if s := sums[id("bump")]; s == nil || !s.WritesReceiver {
-		t.Errorf("bump should WritesReceiver, got %+v", s)
-	}
-	if s := sums[id("indirect")]; s == nil || !s.WritesReceiver {
-		t.Errorf("indirect should inherit WritesReceiver through the receiver-rooted call, got %+v", s)
-	}
-	if s := sums[id("read")]; s == nil || s.WritesReceiver {
-		t.Errorf("read should not WritesReceiver, got %+v", s)
-	}
-}

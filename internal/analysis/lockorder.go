@@ -11,8 +11,7 @@ import (
 
 // LockOrder builds the module-wide lock-acquisition-order graph and flags
 // cycles — the static witness of a potential deadlock between the monitor
-// surfaces (ConcurrentMonitor, ParallelMonitor and the remote client/server
-// runtimes).
+// surfaces (ParallelMonitor and the remote client/server runtimes).
 //
 // A lock is identified by its declaration site, abstracted over instances:
 // "pkg.Type.field" for a mutex field, "pkg.var" for a package-level mutex,

@@ -17,9 +17,9 @@ import (
 //     before calling out (paired Lock/Unlock blocks) are not flagged; the
 //     analyzer is deliberately defer-shaped rather than flow-sensitive.
 //  2. Prober callbacks: a function passed as a Prober/ProberFunc is invoked
-//     by the monitor while its operation (and, for ConcurrentMonitor, its
+//     by the monitor while its operation (and, for ParallelMonitor, its
 //     lock) is in flight; a callback that calls back into a Monitor or
-//     ConcurrentMonitor method deadlocks or corrupts the in-progress
+//     ParallelMonitor method deadlocks or corrupts the in-progress
 //     operation.
 var LockReentry = &Analyzer{
 	Name: "lockreentry",
@@ -217,7 +217,7 @@ func heldToEnd(pass *Pass, fd *ast.FuncDecl, recv *ast.Ident) map[string]token.P
 }
 
 // checkProberCallbacks flags prober implementations handed to the monitor
-// that call back into Monitor/ConcurrentMonitor methods.
+// that call back into Monitor/ParallelMonitor methods.
 func checkProberCallbacks(pass *Pass, decls map[*types.Func]*ast.FuncDecl) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -295,7 +295,7 @@ func callbackBody(pass *Pass, decls map[*types.Func]*ast.FuncDecl, arg ast.Expr)
 	return nil
 }
 
-// reportMonitorCalls flags calls to Monitor/ConcurrentMonitor methods inside
+// reportMonitorCalls flags calls to Monitor/ParallelMonitor methods inside
 // a prober callback body.
 func reportMonitorCalls(pass *Pass, body ast.Node, arg ast.Expr) {
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -308,7 +308,7 @@ func reportMonitorCalls(pass *Pass, body ast.Node, arg ast.Expr) {
 			return true
 		}
 		recvName := typeName(pass.Info.TypeOf(sel.X))
-		if recvName == "Monitor" || recvName == "ConcurrentMonitor" {
+		if recvName == "Monitor" || recvName == "ParallelMonitor" {
 			pass.Reportf(call.Pos(), "prober callback calls %s.%s: probers run while the monitor operation (and lock) is in flight and must not re-enter the monitor", recvName, sel.Sel.Name)
 		}
 		return true

@@ -6,24 +6,10 @@ package analysis
 // callee's summary — so propagating callee-first (with a fixpoint inside each
 // strongly connected component, for recursion) reaches the least solution.
 //
-// The write-effect flags additionally need to know *what* a function writes
-// through: receiver state, pointer/reference parameters, or package-level
-// variables. That is resolved per call site with a small "derived set"
-// analysis (see rootSets): a local assigned from a receiver-rooted expression
-// is itself receiver-derived, so a write through it, or passing it to a
-// callee that writes its parameters, counts as a receiver write.
-//
-// Deliberate imprecision (documented in DESIGN.md §12):
-//
-//   - standard-library *function* calls are assumed not to mutate their
-//     arguments (so gob.NewEncoder(w) or sort.Slice(local) stay pure), but a
-//     standard-library *method* call on a derived value is assumed to mutate
-//     it (bufio.Writer.Write on a receiver-held writer is a receiver write);
-//   - calls through interfaces or stored function values on a derived value
-//     are assumed to mutate it;
-//   - a //lint:allow wallclock comment on a time/rand call site keeps that
-//     site out of the summaries entirely, so annotating the deliberate clock
-//     reads in internal/obs stops the taint from reaching every caller.
+// Deliberate imprecision (documented in DESIGN.md §12): a //lint:allow
+// wallclock comment on a time/rand call site keeps that site out of the
+// summaries entirely, so annotating the deliberate clock reads in
+// internal/obs stops the taint from reaching every caller.
 
 import (
 	"go/ast"
@@ -46,17 +32,10 @@ type Summary struct {
 	// EmitsOrdered: an order-sensitive sink is reachable — wire.Codec.Send,
 	// core.Journal.{Begin,NoteProbe,Commit}, or a gob/json Encoder.Encode.
 	EmitsOrdered bool
-	// WritesReceiver / WritesParams / WritesGlobal: the function may mutate
-	// state reachable from its receiver, its parameters, or package-level
-	// variables.
-	WritesReceiver bool
-	WritesParams   bool
-	WritesGlobal   bool
 }
 
-// union merges callee effects that propagate unconditionally through a call:
-// the monotone observation flags. (Write effects propagate per call site,
-// because they depend on what the argument expressions are rooted in.)
+// union merges a callee's effects into the caller's: every flag propagates
+// unconditionally through a call.
 func (s *Summary) union(o *Summary) bool {
 	changed := false
 	set := func(dst *bool, v bool) {
@@ -161,15 +140,6 @@ func computeSummaries(cg *CallGraph, allow map[allowKey]map[string]bool) map[str
 					if s.union(cs) {
 						changed = true
 					}
-					// A global write propagates unconditionally through any
-					// call edge, including interface-resolved ones.
-					if cs.WritesGlobal && !s.WritesGlobal {
-						s.WritesGlobal = true
-						changed = true
-					}
-				}
-				if propagateWrites(node, s, sums) {
-					changed = true
 				}
 			}
 		}
@@ -177,9 +147,8 @@ func computeSummaries(cg *CallGraph, allow map[allowKey]map[string]bool) map[str
 	return sums
 }
 
-// directFacts extracts a declaration's own effects: observation facts from
-// its body (closures folded in) and write effects through the derived-set
-// analysis.
+// directFacts extracts a declaration's own effects from its body (closures
+// folded in).
 func directFacts(node *CGNode, allow map[allowKey]map[string]bool) *Summary {
 	s := &Summary{}
 	info := node.Pkg.Info
@@ -211,7 +180,6 @@ func directFacts(node *CGNode, allow map[allowKey]map[string]bool) *Summary {
 	if len(allocSites(node)) > 0 {
 		s.Allocates = true
 	}
-	writeFacts(node, s)
 	return s
 }
 
@@ -278,413 +246,4 @@ func isOrderedSink(fn *types.Func) bool {
 		return true
 	}
 	return false
-}
-
-// rootKind is a bitmask of what an expression's value may be derived from.
-type rootKind uint8
-
-const (
-	fromRecv rootKind = 1 << iota
-	fromParam
-	fromGlobal
-)
-
-// rootSets computes, for one declaration, which local objects are derived
-// from the receiver, the parameters, or package-level variables: the
-// receiver/params themselves seed the sets, and a simple assignment fixpoint
-// grows them (x := m.grid makes x receiver-derived; enc := gob.NewEncoder(w)
-// makes enc parameter-derived through the call's arguments).
-func rootSets(node *CGNode) map[types.Object]rootKind {
-	if node.derived != nil {
-		return node.derived
-	}
-	info := node.Pkg.Info
-	derived := make(map[types.Object]rootKind)
-	if r := recvIdent(node.Decl); r != nil {
-		if obj := info.Defs[r]; obj != nil {
-			derived[obj] = fromRecv
-		}
-	}
-	if node.Decl.Type.Params != nil {
-		for _, f := range node.Decl.Type.Params.List {
-			for _, name := range f.Names {
-				if obj := info.Defs[name]; obj != nil {
-					derived[obj] = fromParam
-				}
-			}
-		}
-	}
-
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					id, ok := ast.Unparen(lhs).(*ast.Ident)
-					if !ok || id.Name == "_" {
-						continue
-					}
-					obj := info.Defs[id]
-					if obj == nil {
-						obj = info.Uses[id]
-					}
-					if obj == nil || isPackageVar(obj) {
-						continue
-					}
-					var k rootKind
-					if len(n.Rhs) == len(n.Lhs) {
-						k = valueRoots(info, derived, n.Rhs[i])
-					} else if len(n.Rhs) == 1 {
-						k = valueRoots(info, derived, n.Rhs[0])
-					}
-					if k&^derived[obj] != 0 {
-						derived[obj] |= k
-						changed = true
-					}
-				}
-			case *ast.RangeStmt:
-				// Ranging over a derived container derives the loop vars
-				// whose type can alias (the *objectState values, not the
-				// uint64 keys).
-				k := valueRoots(info, derived, n.X)
-				if k == 0 {
-					return true
-				}
-				for _, v := range []ast.Expr{n.Key, n.Value} {
-					if v == nil {
-						continue
-					}
-					id, ok := ast.Unparen(v).(*ast.Ident)
-					if !ok || id.Name == "_" {
-						continue
-					}
-					obj := info.Defs[id]
-					if obj == nil {
-						obj = info.Uses[id]
-					}
-					if obj == nil || !isRefType(obj.Type()) {
-						continue
-					}
-					if k&^derived[obj] != 0 {
-						derived[obj] |= k
-						changed = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	node.derived = derived
-	return derived
-}
-
-func isPackageVar(obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return false
-	}
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// isRefType reports whether a value of type t can alias memory: pointers,
-// maps, slices, channels, interfaces and funcs do; a struct or array does iff
-// it contains one of those; scalars and strings (immutable) do not. A nil
-// (unknown) type is conservatively aliasing.
-func isRefType(t types.Type) bool {
-	if t == nil {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Map, *types.Slice, *types.Chan, *types.Interface, *types.Signature, *types.Tuple:
-		return true
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if isRefType(u.Field(i).Type()) {
-				return true
-			}
-		}
-		return false
-	case *types.Array:
-		return isRefType(u.Elem())
-	case *types.Basic:
-		return u.Kind() == types.UnsafePointer
-	}
-	return false
-}
-
-// identRoot resolves one identifier's root mask.
-func identRoot(info *types.Info, derived map[types.Object]rootKind, id *ast.Ident) rootKind {
-	obj := info.Uses[id]
-	if obj == nil {
-		obj = info.Defs[id]
-	}
-	if obj == nil {
-		return 0
-	}
-	var k rootKind
-	if d, ok := derived[obj]; ok {
-		k = d
-	}
-	if isPackageVar(obj) {
-		k |= fromGlobal
-	}
-	return k
-}
-
-// scanRoots is the flat conservative scan: every derived identifier anywhere
-// in the expression contributes its roots (closures excluded — they are a
-// separate execution).
-func scanRoots(info *types.Info, derived map[types.Object]rootKind, e ast.Expr) rootKind {
-	var k rootKind
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			k |= identRoot(info, derived, id)
-		}
-		return true
-	})
-	return k
-}
-
-// valueRoots resolves which roots an expression's *value* may alias memory
-// of. Leaves are gated by reference-ness — a struct of scalars copied by
-// value aliases nothing, so `snap := monitorSnap{Stats: m.stats}` does not
-// make snap receiver-derived — while taking an address always aliases, and
-// fresh allocations (make, new) alias only through their element values.
-func valueRoots(info *types.Info, derived map[types.Object]rootKind, e ast.Expr) rootKind {
-	e = ast.Unparen(e)
-	switch x := e.(type) {
-	case *ast.BasicLit, *ast.FuncLit:
-		return 0
-	case *ast.Ident:
-		if !isRefType(info.TypeOf(x)) {
-			return 0
-		}
-		return identRoot(info, derived, x)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return scanRoots(info, derived, x.X) // address-of aliases the operand
-		}
-		return 0
-	case *ast.BinaryExpr:
-		return 0 // arithmetic, comparison, string concat: fresh values
-	case *ast.CompositeLit:
-		var k rootKind
-		for _, elt := range x.Elts {
-			v := elt
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				v = kv.Value
-			}
-			k |= valueRoots(info, derived, v)
-		}
-		return k
-	case *ast.CallExpr:
-		switch builtinName(info, x) {
-		case "make", "new", "len", "cap", "min", "max", "real", "imag", "complex", "recover":
-			return 0 // fresh or scalar results; capacity args don't flow in
-		}
-		if !isRefType(info.TypeOf(x)) {
-			return 0
-		}
-		k := valueRoots(info, derived, x.Fun)
-		for _, a := range x.Args {
-			k |= valueRoots(info, derived, a)
-		}
-		return k
-	default:
-		// Selectors, indexing, slicing, dereference, type assertions, and
-		// anything unforeseen: gate on the result type, then scan.
-		if !isRefType(info.TypeOf(e)) {
-			return 0
-		}
-		return scanRoots(info, derived, e)
-	}
-}
-
-// exprRoots resolves what roots an expression may hand a callee access to:
-// for a call, the callee value and every argument (each type-gated); for
-// anything else, its valueRoots. Shared by write detection, call-site
-// propagation and the rwpurity region check.
-func exprRoots(info *types.Info, derived map[types.Object]rootKind, e ast.Expr) rootKind {
-	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
-		k := valueRoots(info, derived, call.Fun)
-		for _, a := range call.Args {
-			k |= valueRoots(info, derived, a)
-		}
-		return k
-	}
-	return valueRoots(info, derived, e)
-}
-
-// applyWriteKind switches on the write flags matching a root mask.
-func applyWriteKind(s *Summary, k rootKind) bool {
-	changed := false
-	if k&fromRecv != 0 && !s.WritesReceiver {
-		s.WritesReceiver = true
-		changed = true
-	}
-	if k&fromParam != 0 && !s.WritesParams {
-		s.WritesParams = true
-		changed = true
-	}
-	if k&fromGlobal != 0 && !s.WritesGlobal {
-		s.WritesGlobal = true
-		changed = true
-	}
-	return changed
-}
-
-// lhsWriteRoots classifies an assignment target: writing through a selector,
-// index, or dereference mutates whatever the base is derived from; writing a
-// bare local ident only rebinds the local (no caller-visible effect), while a
-// bare package-level ident is a global write.
-func lhsWriteRoots(info *types.Info, derived map[types.Object]rootKind, lhs ast.Expr) rootKind {
-	lhs = ast.Unparen(lhs)
-	if id, ok := lhs.(*ast.Ident); ok {
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		if obj != nil && isPackageVar(obj) {
-			return fromGlobal
-		}
-		return 0
-	}
-	switch e := lhs.(type) {
-	case *ast.SelectorExpr:
-		return exprRoots(info, derived, e.X)
-	case *ast.IndexExpr:
-		return exprRoots(info, derived, e.X)
-	case *ast.StarExpr:
-		return exprRoots(info, derived, e.X)
-	}
-	return 0
-}
-
-// writeFacts records the declaration's direct write effects.
-func writeFacts(node *CGNode, s *Summary) {
-	info := node.Pkg.Info
-	derived := rootSets(node)
-	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				applyWriteKind(s, lhsWriteRoots(info, derived, lhs))
-			}
-		case *ast.IncDecStmt:
-			applyWriteKind(s, lhsWriteRoots(info, derived, n.X))
-		case *ast.UnaryExpr:
-			// Taking the address of derived state lets it escape; treat as a
-			// potential write so `p := &m.stats; p.X++` stays sound.
-			if n.Op == token.AND {
-				if k := exprRoots(info, derived, n.X); k != 0 {
-					// Only when the operand is a field/element, not a fresh
-					// composite literal mentioning derived values.
-					switch ast.Unparen(n.X).(type) {
-					case *ast.SelectorExpr, *ast.IndexExpr, *ast.Ident:
-						applyWriteKind(s, k)
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if isConversion(info, n) {
-				return true
-			}
-			if b := builtinName(info, n); b != "" {
-				switch b {
-				case "delete", "copy", "append":
-					// delete/copy mutate their first argument; append may
-					// write into its first argument's backing array.
-					if len(n.Args) > 0 {
-						applyWriteKind(s, exprRoots(info, derived, n.Args[0]))
-					}
-				}
-				return true
-			}
-			fn := calleeFunc(info, n)
-			if fn == nil {
-				// Dynamic call (stored func value, e.g. m.report(...)):
-				// assume it may mutate whatever its callee value and its
-				// arguments are derived from.
-				applyWriteKind(s, exprRoots(info, derived, n))
-				return true
-			}
-			if recvInterface(fn) != nil {
-				// Interface method call: unknown dynamic callee, assume it
-				// mutates its receiver and arguments.
-				applyWriteKind(s, exprRoots(info, derived, n))
-				return true
-			}
-			if isModuleFunc(node, fn) {
-				return true // handled per summary in propagateWrites
-			}
-			// Standard-library (or otherwise external) call: a method on a
-			// derived value is assumed to mutate it (bufio.Writer.Write,
-			// mutex Lock, ...); a plain function is assumed not to mutate
-			// its arguments (gob.NewEncoder, sort.Slice on locals, fmt).
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-					applyWriteKind(s, exprRoots(info, derived, sel.X))
-				}
-			}
-		}
-		return true
-	})
-}
-
-// isModuleFunc reports whether fn is declared in one of the analyzed
-// packages (so its summary, not a conservative guess, applies).
-func isModuleFunc(node *CGNode, fn *types.Func) bool {
-	_, ok := node.graph.Nodes[funcID(fn)]
-	return ok
-}
-
-// propagateWrites folds callee write effects into the caller per call site:
-// a callee that writes its receiver propagates through the receiver
-// expression's roots; one that writes its parameters propagates through each
-// argument's roots. (Global writes propagate through the plain call edges in
-// computeSummaries.)
-func propagateWrites(node *CGNode, s *Summary, sums map[string]*Summary) bool {
-	info := node.Pkg.Info
-	derived := rootSets(node)
-	changed := false
-	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil {
-			return true
-		}
-		if recvInterface(fn) != nil {
-			// Receiver/arg mutation through interfaces is recorded
-			// conservatively by writeFacts; globals propagate through the
-			// resolved call edges in computeSummaries' union loop.
-			return true
-		}
-		cs := sums[funcID(fn)]
-		if cs == nil {
-			return true
-		}
-		if cs.WritesReceiver {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if applyWriteKind(s, exprRoots(info, derived, sel.X)) {
-					changed = true
-				}
-			}
-		}
-		if cs.WritesParams {
-			for _, arg := range call.Args {
-				if applyWriteKind(s, exprRoots(info, derived, arg)) {
-					changed = true
-				}
-			}
-		}
-		return true
-	})
-	return changed
 }

@@ -64,6 +64,15 @@ func isConversion(info *types.Info, call *ast.CallExpr) bool {
 	return ok && tv.IsType()
 }
 
+// isPackageVar reports whether obj is a package-level variable.
+func isPackageVar(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	if !ok {
+		return false
+	}
+	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
 // recvIdent returns the receiver identifier of a method declaration, nil for
 // plain functions or anonymous receivers.
 func recvIdent(fd *ast.FuncDecl) *ast.Ident {

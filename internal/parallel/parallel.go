@@ -49,7 +49,7 @@ type Stats struct {
 
 // Pipeline batches location updates into a core Monitor. It is not safe for
 // concurrent use; callers serialize Apply with every other monitor operation
-// (srb.ParallelMonitor does so with an RWMutex, internal/remote with its
+// (srb.ParallelMonitor does so with a mutex, internal/remote with its
 // event loop).
 type Pipeline struct {
 	mon     *core.Monitor

@@ -16,10 +16,11 @@ type ObjectUpdate = parallel.Update
 // path, and how many fell back to the sequential path.
 type BatchStats = parallel.Stats
 
-// ParallelMonitor wraps a Monitor with a read/write lock and a batch update
-// pipeline. Read-only operations (Results, SafeRegion, Stats, counts) take a
-// read lock and run concurrently with each other; mutating operations
-// serialize, preserving the framework's sequential-processing model.
+// ParallelMonitor wraps a Monitor with a mutex so it can be shared by
+// multiple goroutines (e.g. one per client connection). Every operation
+// serializes, preserving the framework's sequential-processing model. For a
+// channel-based alternative see internal/remote, which serializes through an
+// event loop instead.
 //
 // UpdateBatch additionally moves the CPU hot spot — safe-region geometry —
 // of conflict-free updates onto a bounded worker pool while keeping the
@@ -27,16 +28,17 @@ type BatchStats = parallel.Stats
 // object-ID order (see internal/parallel for the contract and DESIGN.md §9
 // for the conflict-partition rule).
 type ParallelMonitor struct {
-	mu   sync.RWMutex
+	mu   sync.Mutex
 	mon  *Monitor
 	pipe *parallel.Pipeline
 }
 
 // NewParallelMonitor creates a thread-safe monitoring server whose batch
 // update path plans conflict-free updates on a pool of the given size
-// (workers <= 0 selects GOMAXPROCS). The prober and onUpdate callbacks are
-// invoked while the internal write lock is held: they must not call back
-// into the monitor.
+// (workers <= 0 selects GOMAXPROCS); workers run only inside UpdateBatch,
+// so a caller that never batches starts none. The prober and onUpdate
+// callbacks are invoked while the internal lock is held: they must not call
+// back into the monitor.
 func NewParallelMonitor(opt Options, workers int, prober Prober, onUpdate func(ResultUpdate)) *ParallelMonitor {
 	mon := NewMonitor(opt, prober, onUpdate)
 	return &ParallelMonitor{mon: mon, pipe: parallel.New(mon, workers)}
@@ -55,8 +57,8 @@ func (c *ParallelMonitor) UpdateBatch(batch []ObjectUpdate) []SafeRegionUpdate {
 
 // BatchStats returns the pipeline's partitioning counters.
 func (c *ParallelMonitor) BatchStats() BatchStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.pipe.Stats()
 }
 
@@ -123,47 +125,45 @@ func (c *ParallelMonitor) Deregister(id QueryID) bool {
 	return c.mon.Deregister(id)
 }
 
-// Results returns a query's current results. Read-only: concurrent with
-// other readers.
+// Results returns a query's current results.
 func (c *ParallelMonitor) Results(id QueryID) ([]uint64, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.mon.Results(id)
 }
 
-// SafeRegion returns an object's current safe region. Read-only.
+// SafeRegion returns an object's current safe region.
 func (c *ParallelMonitor) SafeRegion(id uint64) (Rect, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.mon.SafeRegion(id)
 }
 
-// Stats returns the server's work counters. Read-only.
+// Stats returns the server's work counters.
 func (c *ParallelMonitor) Stats() Stats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.mon.Stats()
 }
 
-// NumObjects returns the number of registered objects. Read-only.
+// NumObjects returns the number of registered objects.
 func (c *ParallelMonitor) NumObjects() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.mon.NumObjects()
 }
 
-// NumQueries returns the number of registered queries. Read-only.
+// NumQueries returns the number of registered queries.
 func (c *ParallelMonitor) NumQueries() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.mon.NumQueries()
 }
 
-// SaveSnapshot serializes the monitor's durable state. It holds the read
-// lock: snapshots may be taken concurrently with other readers.
+// SaveSnapshot serializes the monitor's durable state.
 func (c *ParallelMonitor) SaveSnapshot(w io.Writer) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.mon.SaveSnapshot(w)
 }
 

@@ -1,8 +1,8 @@
 package srb_test
 
-// Concurrency stress for the two thread-safe facades: readers hammer
-// Results/SafeRegion/Stats/counts while a writer goroutine applies update
-// batches (ParallelMonitor) or single updates (ConcurrentMonitor). The test
+// Concurrency stress for the thread-safe ParallelMonitor facade: readers
+// hammer Results/SafeRegion/Stats/counts while a writer goroutine applies
+// update batches (UpdateBatch) or single updates (Update). The test
 // carries no assertions beyond liveness and internal invariants — its job is
 // to give `go test -race` enough interleavings to catch locking mistakes.
 
@@ -18,22 +18,7 @@ func stressOptions() srb.Options {
 	return srb.Options{Space: srb.R(0, 0, 1, 1), GridM: 10}
 }
 
-// stressMonitor is the surface both facades share, enough for the stress
-// workload.
-type stressMonitor interface {
-	SetTime(t float64)
-	AddObject(id uint64, p srb.Point) []srb.SafeRegionUpdate
-	RegisterRange(id srb.QueryID, r srb.Rect) ([]uint64, []srb.SafeRegionUpdate, error)
-	RegisterKNN(id srb.QueryID, p srb.Point, k int, ordered bool) ([]uint64, []srb.SafeRegionUpdate, error)
-	Deregister(id srb.QueryID) bool
-	Results(id srb.QueryID) ([]uint64, bool)
-	SafeRegion(id uint64) (srb.Rect, bool)
-	Stats() srb.Stats
-	NumObjects() int
-	NumQueries() int
-}
-
-func runStress(t *testing.T, mon stressMonitor, update func(tick int, batch []srb.ObjectUpdate)) {
+func runStress(t *testing.T, mon *srb.ParallelMonitor, update func(tick int, batch []srb.ObjectUpdate)) {
 	t.Helper()
 	const nObj = 80
 	nTicks, nReaders := 60, 8
@@ -133,6 +118,8 @@ func TestStressParallelMonitor(t *testing.T) {
 	}
 }
 
+// TestStressConcurrentMonitor drives the same facade through single Update
+// calls with no batch worker ever started.
 func TestStressConcurrentMonitor(t *testing.T) {
 	var pos sync.Map
 	prober := srb.ProberFunc(func(id uint64) srb.Point {
@@ -141,7 +128,7 @@ func TestStressConcurrentMonitor(t *testing.T) {
 		}
 		return srb.Point{}
 	})
-	mon := srb.NewConcurrentMonitor(stressOptions(), prober, nil)
+	mon := srb.NewParallelMonitor(stressOptions(), 0, prober, nil)
 	runStress(t, mon, func(_ int, batch []srb.ObjectUpdate) {
 		for _, u := range batch {
 			pos.Store(u.ID, u.Loc)

@@ -94,6 +94,8 @@ func TestConstructors(t *testing.T) {
 	}
 }
 
+// TestConcurrentMonitorUnderRace shares one ParallelMonitor between
+// goroutines that call its single-update surface.
 func TestConcurrentMonitorUnderRace(t *testing.T) {
 	var mu sync.Mutex
 	positions := map[uint64]srb.Point{}
@@ -107,7 +109,7 @@ func TestConcurrentMonitorUnderRace(t *testing.T) {
 		defer mu.Unlock()
 		positions[id] = p
 	}
-	mon := srb.NewConcurrentMonitor(srb.Options{GridM: 8}, srb.ProberFunc(getPos), nil)
+	mon := srb.NewParallelMonitor(srb.Options{GridM: 8}, 0, srb.ProberFunc(getPos), nil)
 	for i := uint64(0); i < 50; i++ {
 		setPos(i, srb.Pt(0.02*float64(i), 0.5))
 		mon.AddObject(i, getPos(i))
@@ -148,7 +150,7 @@ func TestConcurrentMonitorUnderRace(t *testing.T) {
 	if err := mon.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored := srb.NewConcurrentMonitor(srb.Options{GridM: 8}, srb.ProberFunc(getPos), nil)
+	restored := srb.NewParallelMonitor(srb.Options{GridM: 8}, 0, srb.ProberFunc(getPos), nil)
 	if err := restored.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
