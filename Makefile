@@ -111,7 +111,8 @@ docs:
 	$(GO) vet ./...
 
 # Short fuzz runs of the geometry and R*-tree oracles, the kNN search
-# reference, the journal replay and snapshot decoders and the lint CFG
+# reference, the journal replay and snapshot decoders, the wire and journal
+# codecs against encoding/json, the wire frame reader and the lint CFG
 # builder; enough to catch regressions without holding up the gate.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzIrlpCircle$$ -fuzztime=10s ./internal/geom/
@@ -119,6 +120,9 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzIrlpRing -fuzztime=10s ./internal/geom/
 	$(GO) test -fuzz=FuzzTreeOps -fuzztime=10s ./internal/rtree/
 	$(GO) test -fuzz=FuzzReplayJournal -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzJournalEntryCodec -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzMessageCodec -fuzztime=10s ./internal/wire/
+	$(GO) test -fuzz=FuzzRecv -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzKNNSearch -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzCFG -fuzztime=10s ./internal/analysis/

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -18,9 +17,12 @@ import (
 // same safe regions, same results, same Stats. Probe answers must ride in the
 // journal because a restarted server cannot re-ask a client where it was.
 //
-// Format: newline-delimited JSON, one JournalEntry per line, sequence numbers
-// strictly increasing. A torn final line (crash mid-append) is detected and
-// ignored by Replay. See DESIGN.md §11 for the recovery contract.
+// Format: newline-delimited JSON, one JournalEntry per line as encoding/json
+// would marshal it, sequence numbers strictly increasing. A torn final line
+// (crash mid-append) is detected and ignored by Replay. The codec
+// (journal_codec.go) is hand-written: byte-identical to encoding/json on
+// encode, and falling back to it for any line not in that canonical form.
+// See DESIGN.md §11 for the recovery contract.
 
 // Journal operation kinds.
 const (
@@ -84,22 +86,25 @@ type JournalEntry struct {
 	ProbesAns []ProbeAnswer `json:"probes,omitempty"`
 }
 
-// Journal appends monitor operations to an io.Writer as NDJSON. It is not
-// safe for concurrent use; the caller serializes Begin/NoteProbe/Commit with
-// the monitor operation they bracket (internal/remote does so on its event
-// loop). A write error poisons the journal: every later Commit fails fast, so
-// a caller cannot silently continue with a hole in the log.
+// Journal appends monitor operations to an io.Writer as NDJSON, one Write
+// per entry. It is not safe for concurrent use; the caller serializes
+// Begin/NoteProbe/Commit with the monitor operation they bracket
+// (internal/remote does so on its event loop). A write error poisons the
+// journal: every later Commit fails fast, so a caller cannot silently
+// continue with a hole in the log.
 type Journal struct {
-	w       *bufio.Writer
-	seq     uint64
-	pending *JournalEntry
-	err     error
+	w    io.Writer
+	buf  []byte // encoded entry, reused entry to entry
+	seq  uint64
+	cur  JournalEntry // the open entry, valid while open
+	open bool
+	err  error
 }
 
 // NewJournal creates a journal writer continuing after lastSeq (0 starts
 // fresh).
 func NewJournal(w io.Writer, lastSeq uint64) *Journal {
-	return &Journal{w: bufio.NewWriter(w), seq: lastSeq}
+	return &Journal{w: w, seq: lastSeq}
 }
 
 // LastSeq returns the sequence number of the last committed entry.
@@ -110,46 +115,49 @@ func (j *Journal) Err() error { return j.err }
 
 // Begin opens an entry for the operation about to run. Probe answers
 // observed while the operation executes are attached via NoteProbe; Commit
-// seals and writes the entry.
+// seals and writes the entry. An entry given without probe answers collects
+// them in an array the journal reuses from entry to entry.
 func (j *Journal) Begin(e JournalEntry) {
-	j.pending = &e
+	if e.ProbesAns == nil {
+		e.ProbesAns = j.cur.ProbesAns[:0]
+	}
+	j.cur, j.open = e, true
 }
 
 // NoteProbe records one probe answer into the open entry. A probe outside
 // any open entry is a bug in the caller's bracketing and is ignored.
 func (j *Journal) NoteProbe(id uint64, p geom.Point) {
-	if j.pending == nil {
+	if !j.open {
 		return
 	}
-	j.pending.ProbesAns = append(j.pending.ProbesAns, ProbeAnswer{ID: id, X: p.X, Y: p.Y})
+	j.cur.ProbesAns = append(j.cur.ProbesAns, ProbeAnswer{ID: id, X: p.X, Y: p.Y})
 }
 
 // Abort discards the open entry, recording nothing — for operations that
 // fail validation and leave the monitor untouched (e.g. a rejected query
 // registration).
-func (j *Journal) Abort() { j.pending = nil }
+func (j *Journal) Abort() { j.open = false }
 
 // Commit seals the open entry, assigns its sequence number, and writes it.
+// An entry that cannot be encoded (a NaN or infinite value) poisons the
+// journal like a write error, and writes nothing.
 func (j *Journal) Commit() error {
-	e := j.pending
-	j.pending = nil
+	if !j.open {
+		return j.err
+	}
+	j.open = false
 	if j.err != nil {
 		return j.err
 	}
-	if e == nil {
-		return nil
-	}
 	j.seq++
-	e.Seq = j.seq
-	b, err := json.Marshal(e)
+	j.cur.Seq = j.seq
+	b, err := appendJournalEntry(j.buf[:0], &j.cur)
 	if err == nil {
-		_, err = j.w.Write(append(b, '\n'))
-	}
-	if err == nil {
-		err = j.w.Flush()
+		j.buf = append(b, '\n')
+		_, err = j.w.Write(j.buf)
 	}
 	if err != nil {
-		j.err = fmt.Errorf("core: journal append (seq %d): %w", e.Seq, err)
+		j.err = fmt.Errorf("core: journal append (seq %d): %w", j.seq, err)
 		return j.err
 	}
 	return nil
@@ -217,8 +225,8 @@ func ReplayJournal(r io.Reader, m *Monitor, fromSeq uint64) (ReplayStats, error)
 		if len(line) == 0 {
 			continue
 		}
-		var e JournalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
+		e, err := decodeJournalEntry(line)
+		if err != nil {
 			// Only the final line may be torn; peek for more content.
 			if sc.Scan() {
 				return rs, fmt.Errorf("core: journal line after seq %d unparseable: %v", prevSeq, err)

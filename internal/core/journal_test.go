@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -396,4 +399,82 @@ func FuzzReplayJournal(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestJournalCommitRejectsNonFinite pins encoding/json's behaviour, kept: an
+// entry with a NaN or infinite value fails Commit with json's error, poisons
+// the journal, and appends nothing.
+func TestJournalCommitRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, e := range []JournalEntry{
+			{Op: JournalUpdate, Obj: 1, X: bad},
+			{Op: JournalBatch, Batch: []BatchedUpdate{{Obj: 1, X: 0.5, Y: bad}}},
+			{Op: JournalRegister, Kind: KindCircle, Radius: bad},
+			{Op: JournalUpdate, T: bad},
+		} {
+			var out bytes.Buffer
+			j := NewJournal(&out, 0)
+			j.Begin(JournalEntry{Op: JournalAdd, Obj: 1, X: 0.5, Y: 0.5})
+			if err := j.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			before := out.Len()
+			j.Begin(e)
+			err := j.Commit()
+			ref := e
+			ref.Seq = 2
+			_, refErr := json.Marshal(&ref)
+			var uve *json.UnsupportedValueError
+			if err == nil || !errors.As(err, &uve) || err.Error() != "core: journal append (seq 2): "+refErr.Error() {
+				t.Errorf("Commit(%+v) = %v, want the journal-wrapped %v", e, err, refErr)
+			}
+			j.Begin(JournalEntry{Op: JournalRemove, Obj: 1})
+			if err2 := j.Commit(); err2 != err || j.Err() != err {
+				t.Errorf("after a failed Commit: Commit = %v, Err = %v; want the sticky %v", err2, j.Err(), err)
+			}
+			if out.Len() != before {
+				t.Errorf("Commit(%+v) appended %q", e, out.Bytes()[before:])
+			}
+		}
+	}
+}
+
+// TestJournalCommitAllocatesNothing: the open entry lives in the Journal,
+// its probe answers reuse one array, and the encoded line one buffer, so a
+// journaled operation allocates nothing once those have grown.
+func TestJournalCommitAllocatesNothing(t *testing.T) {
+	j := NewJournal(io.Discard, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		j.Begin(JournalEntry{Op: JournalUpdate, Obj: 7, X: 0.25, Y: 0.75})
+		j.NoteProbe(3, geom.Pt(0.1, 0.2))
+		j.NoteProbe(4, geom.Pt(0.3, 0.4))
+		if err := j.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		j.NoteProbe(5, geom.Pt(0.5, 0.6)) // outside an open entry: ignored
+		j.Begin(JournalEntry{Op: JournalRemove, Obj: 7})
+		j.Abort()
+	})
+	if allocs != 0 {
+		t.Fatalf("Begin/NoteProbe/Commit allocated %v times per op", allocs)
+	}
+	var out bytes.Buffer
+	j = NewJournal(&out, 0)
+	j.Begin(JournalEntry{Op: JournalUpdate, Obj: 1, X: 0.5, Y: 0.5})
+	j.NoteProbe(2, geom.Pt(0.1, 0.2))
+	if err := j.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	j.NoteProbe(9, geom.Pt(0.9, 0.9))
+	j.Begin(JournalEntry{Op: JournalRemove, Obj: 1})
+	j.Abort()
+	j.Begin(JournalEntry{Op: JournalUpdate, Obj: 3, X: 0.5, Y: 0.5})
+	if err := j.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"seq":1,"t":0,"op":"update","obj":1,"x":0.5,"y":0.5,"probes":[{"id":2,"x":0.1,"y":0.2}]}` + "\n" +
+		`{"seq":2,"t":0,"op":"update","obj":3,"x":0.5,"y":0.5}` + "\n"
+	if out.String() != want {
+		t.Fatalf("journal:\n%s\nwant\n%s", out.String(), want)
+	}
 }

@@ -1,7 +1,14 @@
 // Package wire defines the line-delimited JSON protocol spoken between the
 // monitoring server, mobile clients, and application servers (the
 // architecture of Figure 1.1 in the paper). Each frame is one JSON object
-// terminated by '\n'.
+// terminated by '\n': a Message as encoding/json would marshal it.
+//
+// The codec (codec.go) is hand-written and reflection-free: Send encodes a
+// Message to exactly the bytes json.Marshal produces, and Recv parses that
+// canonical compact form in one pass. Any other well-formed frame (with
+// whitespace, escapes, reordered or differently-cased keys, nulls) and any
+// malformed one goes to encoding/json unchanged, so what the codec accepts
+// and the errors it reports are encoding/json's.
 //
 // The paper's prototype used SOAP/HTTP on IIS; this implementation
 // substitutes a minimal TCP protocol with the same message flow:
@@ -9,14 +16,7 @@
 // query registration with continuous result pushes.
 package wire
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-
-	"srb/internal/geom"
-)
+import "srb/internal/geom"
 
 // Message types.
 const (
@@ -104,48 +104,4 @@ func (m *Message) SetPoint(p geom.Point) {
 // SetRect fills the safe-region payload.
 func (m *Message) SetRect(r geom.Rect) {
 	m.MinX, m.MinY, m.MaxX, m.MaxY = r.MinX, r.MinY, r.MaxX, r.MaxY
-}
-
-// Codec frames Messages over a stream. Writes and reads are independently
-// usable from different goroutines, but each side must have a single user.
-type Codec struct {
-	r *bufio.Scanner
-	w *bufio.Writer
-}
-
-// NewCodec wraps a connection.
-func NewCodec(rw io.ReadWriter) *Codec {
-	sc := bufio.NewScanner(rw)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	return &Codec{r: sc, w: bufio.NewWriter(rw)}
-}
-
-// Send writes one frame.
-func (c *Codec) Send(m Message) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
-	}
-	if _, err := c.w.Write(b); err != nil {
-		return err
-	}
-	if err := c.w.WriteByte('\n'); err != nil {
-		return err
-	}
-	return c.w.Flush()
-}
-
-// Recv reads one frame, returning io.EOF at end of stream.
-func (c *Codec) Recv() (Message, error) {
-	if !c.r.Scan() {
-		if err := c.r.Err(); err != nil {
-			return Message{}, err
-		}
-		return Message{}, io.EOF
-	}
-	var m Message
-	if err := json.Unmarshal(c.r.Bytes(), &m); err != nil {
-		return Message{}, fmt.Errorf("wire: unmarshal %q: %w", c.r.Bytes(), err)
-	}
-	return m, nil
 }
