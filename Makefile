@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt lint lint-ipa lint-baseline test bench-check race debug fuzz-smoke docs bench-counts load-smoke
+.PHONY: check build vet fmt lint lint-ipa lint-baseline test bench-check race debug fuzz-smoke docs bench-counts load-smoke repro
 
 check: build vet fmt lint lint-ipa test bench-check bench-counts race debug fuzz-smoke
 
@@ -104,10 +104,13 @@ debug:
 # markdown cross-reference must resolve, every `make` target CI and README.md
 # run must exist (and every target be .PHONY), BENCH_COUNTS.json must pin every
 # benchmark workload, load.ServerFamilies must list exactly METRICS.md's
-# server families, and vet stays clean. The six tests also run under plain
-# `make test`; this target is the fast path for the CI docs job.
+# server families, EXPERIMENTS.md's tagged blocks must print REPRO_DEFAULT.json,
+# Table 7.1 and Fig 7.1(b)'s τ = 0 row must recompute bit for bit (~7 s), every
+# `srb-sim -exp` id and Benchmark name a document cites must exist, and vet
+# stays clean. The nine tests also run under plain `make test`; this target is
+# the fast path for the CI docs job.
 docs:
-	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestServerFlagsDocumented|TestDocsLinksResolve|TestCIMakeTargetsExist|TestBenchCountsCoverWorkloads|TestLoadRequiresEveryServerFamily' -v .
+	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestServerFlagsDocumented|TestDocsLinksResolve|TestCIMakeTargetsExist|TestBenchCountsCoverWorkloads|TestLoadRequiresEveryServerFamily|TestExperimentsDocMatchesRecord|TestReproRecordSlice|TestDocCommandsExist' -v .
 	$(GO) vet ./...
 
 # Short fuzz runs of the geometry and R*-tree oracles, the kNN search
@@ -152,3 +155,15 @@ load-smoke:
 	./bin/srb-load -server-bin bin/srb-server -sessions 16 -stages 1,2 \
 		-stage-dur 3s -slo 500ms -rto -rto-timeout 30s -seed 1 \
 		-out bin/load-smoke.json
+
+# Regenerate REPRO_DEFAULT.json, the reproduction record EXPERIMENTS.md is
+# checked against (TestExperimentsDocMatchesRecord): every srb-sim experiment
+# at the default scale, seed 1, as one JSON array. About 10 minutes on a
+# 2-vCPU Xeon, so no CI job runs it; TestReproRecordSlice recomputes one row.
+# A change that moves region values or probe decisions on purpose runs it and
+# rewrites EXPERIMENTS.md's blocks from the new record.
+repro:
+	@mkdir -p bin
+	$(GO) build -o bin/srb-sim ./cmd/srb-sim
+	./bin/srb-sim -exp all -json > bin/REPRO_DEFAULT.json
+	mv bin/REPRO_DEFAULT.json REPRO_DEFAULT.json

@@ -1,11 +1,6 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section 7) at a compact scale, plus ablation benchmarks for the design
-// choices called out in DESIGN.md and micro-benchmarks of the hot paths.
-//
-// Figure benchmarks run the corresponding experiment sweep once per
-// iteration and report the headline series values through b.ReportMetric, so
-// `go test -bench .` both exercises the harness and prints the reproduced
-// numbers. Use cmd/srb-sim for full-scale runs.
+// Ablation benchmarks for the design choices called out in DESIGN.md and
+// micro-benchmarks of the hot paths. The paper's tables and figures are
+// reproduced by cmd/srb-sim (`make repro`), not here.
 package srb_test
 
 import (
@@ -23,7 +18,7 @@ import (
 	"srb/internal/sim"
 )
 
-// benchConfig is the compact scale used by the figure benchmarks.
+// benchConfig is the compact scale of the simulator ablations.
 func benchConfig() sim.Config {
 	c := sim.Default()
 	c.N = 400
@@ -31,158 +26,6 @@ func benchConfig() sim.Config {
 	c.Duration = 2
 	c.GridM = 12
 	return c
-}
-
-// reportTable exposes a table's last row through benchmark metrics.
-func reportTable(b *testing.B, t sim.Table) {
-	b.Helper()
-	if len(t.Rows) == 0 {
-		b.Fatal("empty table")
-	}
-	last := t.Rows[len(t.Rows)-1]
-	for i, col := range t.Columns {
-		b.ReportMetric(last.Values[i], sanitizeMetric(col)+"@x="+trim(last.X))
-	}
-}
-
-// sanitizeMetric makes a column label a legal benchmark metric unit.
-func sanitizeMetric(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch r {
-		case ' ', '\t', '(', ')':
-			out = append(out, '-')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
-}
-
-func trim(v float64) string {
-	s := make([]byte, 0, 8)
-	return string(appendFloat(s, v))
-}
-
-func appendFloat(b []byte, v float64) []byte {
-	// Compact fixed formatting good enough for metric labels.
-	if v == float64(int64(v)) {
-		return appendInt(b, int64(v))
-	}
-	b = appendInt(b, int64(v))
-	b = append(b, '.')
-	frac := v - float64(int64(v))
-	return appendInt(b, int64(frac*100+0.5))
-}
-
-func appendInt(b []byte, v int64) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
-}
-
-// --- Table 7.1 and Figures 7.1–7.6 -------------------------------------------
-
-func BenchmarkTable71Defaults(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sim.TableDefaults(benchConfig())
-	}
-}
-
-func BenchmarkFig71aAccuracyVsDelay(b *testing.B) {
-	var t sim.Table
-	for i := 0; i < b.N; i++ {
-		t = sim.Fig71a(benchConfig())
-	}
-	reportTable(b, t)
-}
-
-func BenchmarkFig71bCostVsDelay(b *testing.B) {
-	var t sim.Table
-	for i := 0; i < b.N; i++ {
-		t = sim.Fig71b(benchConfig())
-	}
-	reportTable(b, t)
-}
-
-func BenchmarkFig72aCPUVsQueries(b *testing.B) {
-	var t sim.Table
-	for i := 0; i < b.N; i++ {
-		t = sim.Fig72a(benchConfig())
-	}
-	reportTable(b, t)
-}
-
-func BenchmarkFig72bCostVsQueries(b *testing.B) {
-	var t sim.Table
-	for i := 0; i < b.N; i++ {
-		t = sim.Fig72b(benchConfig())
-	}
-	reportTable(b, t)
-}
-
-func BenchmarkFig73aCPUVsObjects(b *testing.B) {
-	var t sim.Table
-	for i := 0; i < b.N; i++ {
-		t = sim.Fig73a(benchConfig())
-	}
-	reportTable(b, t)
-}
-
-func BenchmarkFig73bCostVsObjects(b *testing.B) {
-	var t sim.Table
-	for i := 0; i < b.N; i++ {
-		t = sim.Fig73b(benchConfig())
-	}
-	reportTable(b, t)
-}
-
-func BenchmarkFig74aCostVsSpeed(b *testing.B) {
-	var t sim.Table
-	for i := 0; i < b.N; i++ {
-		t = sim.Fig74a(benchConfig())
-	}
-	reportTable(b, t)
-}
-
-func BenchmarkFig74bCostVsPeriod(b *testing.B) {
-	var t sim.Table
-	for i := 0; i < b.N; i++ {
-		t = sim.Fig74b(benchConfig())
-	}
-	reportTable(b, t)
-}
-
-func BenchmarkFig75GridPartitioning(b *testing.B) {
-	var t sim.Table
-	for i := 0; i < b.N; i++ {
-		t = sim.Fig75(benchConfig())
-	}
-	reportTable(b, t)
-}
-
-func BenchmarkFig76aReachabilityCircle(b *testing.B) {
-	var t sim.Table
-	for i := 0; i < b.N; i++ {
-		t = sim.Fig76a(benchConfig())
-	}
-	reportTable(b, t)
-}
-
-func BenchmarkFig76bWeightedPerimeter(b *testing.B) {
-	var t sim.Table
-	for i := 0; i < b.N; i++ {
-		t = sim.Fig76b(benchConfig())
-	}
-	reportTable(b, t)
 }
 
 // --- Ablations -----------------------------------------------------------------

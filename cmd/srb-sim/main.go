@@ -7,12 +7,14 @@
 //
 //	srb-sim -exp fig7.1a            # one experiment at the default scale
 //	srb-sim -exp all                # every table and figure
+//	srb-sim -exp all -json          # the same as one JSON record (make repro)
 //	srb-sim -exp fig7.2a -n 10000 -w 200 -duration 20
 //	srb-sim -list                   # list experiment identifiers
 //	srb-sim -full                   # paper-scale parameters (very slow)
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -27,7 +29,7 @@ func main() {
 	var (
 		expID    = flag.String("exp", "all", "experiment id (see -list) or 'all'")
 		list     = flag.Bool("list", false, "list available experiments")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
+		asJSON   = flag.Bool("json", false, "emit the tables as one indented JSON array instead of aligned text")
 		full     = flag.Bool("full", false, "use the paper's full-scale parameters (Table 7.1)")
 		n        = flag.Int("n", 0, "override the number of moving objects N")
 		w        = flag.Int("w", 0, "override the number of queries W")
@@ -92,27 +94,32 @@ func main() {
 		}()
 	}
 
-	run := func(e sim.Experiment) {
+	exps := sim.Experiments()
+	if *expID != "all" {
+		e, ok := sim.ExperimentByID(*expID)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *expID)
+			os.Exit(2)
+		}
+		exps = []sim.Experiment{e}
+	}
+	var tables []sim.Table
+	for _, e := range exps {
 		start := time.Now()
 		tab := e.Run(base)
-		if *csv {
-			fmt.Print(tab.CSV())
-		} else {
-			fmt.Println(tab.Format())
-			fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		if *asJSON {
+			tables = append(tables, tab)
+			continue
 		}
+		fmt.Println(tab.Format())
+		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-
-	if *expID == "all" {
-		for _, e := range sim.Experiments() {
-			run(e)
+	if *asJSON {
+		out, err := json.MarshalIndent(tables, "", "  ")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "json: %v\n", err)
+			os.Exit(1)
 		}
-		return
+		fmt.Printf("%s\n", out)
 	}
-	e, ok := sim.ExperimentByID(*expID)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *expID)
-		os.Exit(2)
-	}
-	run(e)
 }

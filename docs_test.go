@@ -3,8 +3,11 @@ package srb_test
 // Documentation gates: METRICS.md must list exactly the metric families the
 // code registers, OPERATIONS.md exactly the flags srb-server defines, every
 // markdown cross-reference must resolve, every `make` target CI and README.md
-// name must exist, BENCH_COUNTS.json must pin every benchmark workload, and
-// the load harness must require exactly METRICS.md's server families.
+// name must exist, BENCH_COUNTS.json must pin every benchmark workload, the
+// load harness must require exactly METRICS.md's server families,
+// EXPERIMENTS.md must print REPRO_DEFAULT.json's numbers, one row of that
+// record must recompute bit for bit, and every simulator experiment and
+// benchmark a document cites must exist.
 // All run under plain `go test` and in the CI docs job.
 
 import (
@@ -15,6 +18,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -27,6 +31,7 @@ import (
 	"srb/internal/load"
 	"srb/internal/obs"
 	"srb/internal/remote"
+	"srb/internal/sim"
 )
 
 // wireEverything assembles a server with every optional subsystem attached —
@@ -91,11 +96,7 @@ func docFamilies(t *testing.T) map[string]bool {
 // metricsDocLines returns METRICS.md's lines.
 func metricsDocLines(t *testing.T) []string {
 	t.Helper()
-	data, err := os.ReadFile("METRICS.md")
-	if err != nil {
-		t.Fatalf("read METRICS.md: %v", err)
-	}
-	return strings.Split(string(data), "\n")
+	return strings.Split(readRepoFile(t, "METRICS.md"), "\n")
 }
 
 // TestLoadRequiresEveryServerFamily pins load.ServerFamilies, the families
@@ -193,11 +194,7 @@ func TestDocsLinksResolve(t *testing.T) {
 		t.Fatalf("no markdown files at repo root (err=%v)", err)
 	}
 	for _, doc := range docs {
-		data, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatalf("read %s: %v", doc, err)
-		}
-		text := string(data)
+		text := readRepoFile(t, doc)
 
 		anchors := make(map[string]bool)
 		for _, line := range strings.Split(text, "\n") {
@@ -266,11 +263,7 @@ func serverFlags(t *testing.T) map[string]bool {
 // table.
 func docServerFlags(t *testing.T) map[string]bool {
 	t.Helper()
-	data, err := os.ReadFile("OPERATIONS.md")
-	if err != nil {
-		t.Fatalf("read OPERATIONS.md: %v", err)
-	}
-	_, section, ok := strings.Cut(string(data), "\n### srb-server flags\n")
+	_, section, ok := strings.Cut(readRepoFile(t, "OPERATIONS.md"), "\n### srb-server flags\n")
 	if !ok {
 		t.Fatal(`OPERATIONS.md has no "srb-server flags" section`)
 	}
@@ -312,13 +305,9 @@ func TestServerFlagsDocumented(t *testing.T) {
 // .PHONY line lists.
 func makeTargets(t *testing.T) (defined, phony map[string]bool) {
 	t.Helper()
-	data, err := os.ReadFile("Makefile")
-	if err != nil {
-		t.Fatalf("read Makefile: %v", err)
-	}
 	rule := regexp.MustCompile(`^([a-z][\w-]*):`)
 	defined, phony = make(map[string]bool), make(map[string]bool)
-	for _, line := range strings.Split(string(data), "\n") {
+	for _, line := range strings.Split(readRepoFile(t, "Makefile"), "\n") {
 		if names, ok := strings.CutPrefix(line, ".PHONY:"); ok {
 			for _, name := range strings.Fields(names) {
 				phony[name] = true
@@ -352,22 +341,14 @@ func makeInvocations(t *testing.T) []makeInvocation {
 		}
 	}
 
-	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
-	if err != nil {
-		t.Fatalf("read ci.yml: %v", err)
-	}
-	for i, line := range strings.Split(string(ci), "\n") {
+	for i, line := range strings.Split(readRepoFile(t, ".github/workflows/ci.yml"), "\n") {
 		if cmd, ok := strings.CutPrefix(strings.TrimSpace(line), "run:"); ok {
 			scan("ci.yml:"+strconv.Itoa(i+1), cmd)
 		}
 	}
 
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatalf("read README.md: %v", err)
-	}
 	inShell := false
-	for i, line := range strings.Split(string(readme), "\n") {
+	for i, line := range strings.Split(readRepoFile(t, "README.md"), "\n") {
 		switch {
 		case strings.HasPrefix(line, "```"):
 			inShell = line == "```sh" || line == "```bash"
@@ -399,21 +380,9 @@ func TestBenchCountsCoverWorkloads(t *testing.T) {
 	var spec struct {
 		Workloads []struct{ Name string } `json:"workloads"`
 	}
-	data, err := os.ReadFile("BENCHMARK.json")
-	if err != nil {
-		t.Fatalf("read BENCHMARK.json: %v", err)
-	}
-	if err := json.Unmarshal(data, &spec); err != nil {
-		t.Fatalf("parse BENCHMARK.json: %v", err)
-	}
+	readJSON(t, "BENCHMARK.json", &spec)
 	var pinned map[string]map[string]json.RawMessage
-	data, err = os.ReadFile("BENCH_COUNTS.json")
-	if err != nil {
-		t.Fatalf("read BENCH_COUNTS.json: %v", err)
-	}
-	if err := json.Unmarshal(data, &pinned); err != nil {
-		t.Fatalf("parse BENCH_COUNTS.json: %v", err)
-	}
+	readJSON(t, "BENCH_COUNTS.json", &pinned)
 
 	workloads := make(map[string]bool)
 	for _, w := range spec.Workloads {
@@ -435,6 +404,172 @@ func TestBenchCountsCoverWorkloads(t *testing.T) {
 	for name := range pinned {
 		if !workloads[name] {
 			t.Errorf("BENCH_COUNTS.json pins %s, which is not a BENCHMARK.json workload", name)
+		}
+	}
+}
+
+// readRepoFile returns a file of the repository, named by its slash path.
+func readRepoFile(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.FromSlash(name))
+	if err != nil {
+		t.Fatalf("read %s: %v", name, err)
+	}
+	return string(data)
+}
+
+// readJSON decodes a JSON file of the repository into v.
+func readJSON(t *testing.T, name string, v any) {
+	t.Helper()
+	if err := json.Unmarshal([]byte(readRepoFile(t, name)), v); err != nil {
+		t.Fatalf("parse %s: %v", name, err)
+	}
+}
+
+// reproRecord decodes REPRO_DEFAULT.json, the record `make repro` writes:
+// every simulator experiment at sim.Default(), seed 1, keyed by id.
+func reproRecord(t *testing.T) ([]sim.Table, map[string]sim.Table) {
+	t.Helper()
+	var tables []sim.Table
+	readJSON(t, "REPRO_DEFAULT.json", &tables)
+	byID := make(map[string]sim.Table)
+	for _, tab := range tables {
+		byID[tab.ID] = tab
+	}
+	return tables, byID
+}
+
+// reproBlock tags a code block of EXPERIMENTS.md with a table of the record.
+var reproBlock = regexp.MustCompile("(?m)^<!-- REPRO_DEFAULT\\.json: (\\S+) -->\n```\n((?:.*\n)*?)```$")
+
+// TestExperimentsDocMatchesRecord checks EXPERIMENTS.md against
+// REPRO_DEFAULT.json, which holds one table per sim.Experiments() entry, in
+// order. Each table with compared columns appears exactly once, as a block
+// tagged with its id holding those columns as Table.Format renders them; the
+// wall-clock CPU columns are never compared. The summary table states a
+// measured number only in backticks, and only one a tagged block prints.
+func TestExperimentsDocMatchesRecord(t *testing.T) {
+	tables, byID := reproRecord(t)
+	for i, e := range sim.Experiments() {
+		if len(tables) != len(sim.Experiments()) || tables[i].ID != e.ID {
+			t.Fatalf("REPRO_DEFAULT.json's tables are not sim.Experiments(), in order, at %s", e.ID)
+		}
+	}
+	doc := readRepoFile(t, "EXPERIMENTS.md")
+	tagged, printed := make(map[string]bool), make(map[string]bool)
+	for _, m := range reproBlock.FindAllStringSubmatch(doc, -1) {
+		tab, ok := byID[m[1]]
+		if tagged[m[1]] {
+			t.Errorf("EXPERIMENTS.md tags %s twice", m[1])
+		}
+		tab.CPUColumns, tab.Rows = nil, append([]sim.TableRow(nil), tab.Rows...)
+		for i := range tab.Rows {
+			tab.Rows[i].CPU = nil
+		}
+		if want := tab.Format(); !ok || m[2] != want {
+			t.Errorf("EXPERIMENTS.md block %s is\n%s\nREPRO_DEFAULT.json prints\n%s", m[1], m[2], want)
+		}
+		tagged[m[1]] = true
+		for _, f := range strings.Fields(m[2]) {
+			printed[f] = true
+		}
+	}
+	for _, tab := range tables {
+		if len(tab.Columns) > 0 && !tagged[tab.ID] {
+			t.Errorf("EXPERIMENTS.md has no block tagged %s", tab.ID)
+		}
+	}
+
+	_, summary, ok := strings.Cut(doc, "\n## Summary of reproduction status\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no summary table")
+	}
+	summary, _, _ = strings.Cut(summary, "\n#")
+	quoted := regexp.MustCompile("`([^`]*)`")
+	for _, line := range strings.Split(summary, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 {
+			continue
+		}
+		status := cells[len(cells)-2]
+		for _, m := range quoted.FindAllStringSubmatch(status, -1) {
+			if !printed[m[1]] {
+				t.Errorf("the summary quotes `%s`, which no tagged block prints", m[1])
+			}
+		}
+		if bare := quoted.ReplaceAllString(status, ""); strings.ContainsAny(bare, "0123456789") {
+			t.Errorf("the summary states a number outside backticks: %s", strings.TrimSpace(bare))
+		}
+	}
+}
+
+// TestReproRecordSlice recomputes the cheapest slice of REPRO_DEFAULT.json at
+// sim.Default() bit for bit: Table 7.1 and Fig 7.1(b)'s τ = 0 row. That row's
+// SRB cell is also the default point of the other SRB cost series, so they
+// must print it too.
+func TestReproRecordSlice(t *testing.T) {
+	_, byID := reproRecord(t)
+	base := sim.Default()
+	if got := sim.TableDefaults(base); !reflect.DeepEqual(got, byID["table7.1"]) {
+		t.Errorf("table7.1 recomputes as\n%s", got.Format())
+	}
+	fig := byID["fig7.1b"]
+	if len(fig.Rows) == 0 || !reflect.DeepEqual(fig.Columns, []string{"OPT", "SRB", "PRD(1)", "PRD(0.1)"}) {
+		t.Fatalf("REPRO_DEFAULT.json fig7.1b has unexpected columns:\n%s", fig.Format())
+	}
+	srb := fig.Rows[0].Values[1]
+	for _, c := range []struct {
+		id       string
+		row, col int
+	}{{"fig7.2b", 5, 1}, {"fig7.3b", 4, 1}, {"fig7.4a", 3, 0}, {"fig7.4b", 1, 0}, {"fig7.5", 2, 0}, {"fig7.6a", 5, 0}, {"figL.1", 0, 1}} {
+		if r := byID[c.id].Rows[c.row]; r.Values[c.col] != srb { //lint:allow floatcmp one run, printed once per series
+			t.Errorf("%s at x = %v prints %v, not fig7.1b's default SRB cost %v", c.id, r.X, r.Values[c.col], srb)
+		}
+	}
+	got := []float64{
+		sim.RunOPT(base).CommPerClientTime,
+		sim.RunSRB(base).CommPerClientTime,
+		sim.RunPRD(base, 1).CommPerClientTime,
+		sim.RunPRD(base, 0.1).CommPerClientTime,
+	}
+	if !reflect.DeepEqual(got, fig.Rows[0].Values) || fig.Rows[0].X != 0 {
+		t.Errorf("fig7.1b τ = 0 recomputes as %v, REPRO_DEFAULT.json has %v at τ = %v", got, fig.Rows[0].Values, fig.Rows[0].X)
+	}
+}
+
+// TestDocCommandsExist requires every `srb-sim ... -exp <id>` a reference
+// document cites to name `all` or an id of sim.Experiments(), and every
+// Benchmark<Name> it cites to be defined in a _test.go file of the module or
+// of bench/. CHANGES.md and ROADMAP.md record history and plans, and
+// PAPER.md, PAPERS.md and SNIPPETS.md quote other work, so none is scanned.
+func TestDocCommandsExist(t *testing.T) {
+	known := map[string]bool{"all": true}
+	for _, e := range sim.Experiments() {
+		known[e.ID] = true
+	}
+	benchFunc := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, "_test.go") {
+			var src []byte
+			src, err = os.ReadFile(path)
+			for _, m := range benchFunc.FindAllStringSubmatch(string(src), -1) {
+				known[m[1]] = true
+			}
+		}
+		return err
+	})
+	if err != nil || !known["BenchmarkMonitorUpdate"] {
+		t.Fatalf("scan test files: %v", err)
+	}
+	cited := regexp.MustCompile("srb-sim\\b[^`\n]*?-exp[ =]+([^\\s`]+)|\\b(Benchmark[A-Z]\\w*)")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "OPERATIONS.md",
+		"METRICS.md", "bench/README.md", ".claude/skills/verify/SKILL.md"} {
+		for i, line := range strings.Split(readRepoFile(t, doc), "\n") {
+			for _, m := range cited.FindAllStringSubmatch(line, -1) {
+				if name := m[1] + m[2]; !known[name] {
+					t.Errorf("%s:%d cites %s, which is no srb-sim experiment id nor a benchmark of any _test.go", doc, i+1, name)
+				}
+			}
 		}
 	}
 }

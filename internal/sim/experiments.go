@@ -7,19 +7,26 @@ import (
 )
 
 // Table is a reproduced figure or table: one row per x-value, one column per
-// series, mirroring the series the paper plots.
+// series, mirroring the series the paper plots. Columns are seed-deterministic
+// (costs, accuracy, counts); CPUColumns hold wall-clock timings, which no two
+// runs repeat, so a record compares Columns and only reports CPUColumns.
 type Table struct {
-	ID      string
-	Title   string
-	XLabel  string
-	Columns []string
-	Rows    []TableRow
+	ID         string     `json:"id"`
+	Title      string     `json:"title"`
+	XLabel     string     `json:"x_label"`
+	Columns    []string   `json:"columns,omitempty"`
+	CPUColumns []string   `json:"cpu_columns,omitempty"`
+	Rows       []TableRow `json:"rows"`
 }
 
-// TableRow is one x-value with the measured series values.
+// TableRow is one x-value with the measured series values, in the order of
+// the table's Columns and CPUColumns. A named row prints its Name instead of
+// X.
 type TableRow struct {
-	X      float64
-	Values []float64
+	Name   string    `json:"name,omitempty"`
+	X      float64   `json:"x"`
+	Values []float64 `json:"values,omitempty"`
+	CPU    []float64 `json:"cpu,omitempty"`
 }
 
 // Format renders the table as aligned text for terminals and EXPERIMENTS.md.
@@ -27,45 +34,26 @@ func (t Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
 	fmt.Fprintf(&b, "%14s", t.XLabel)
-	for _, c := range t.Columns {
-		fmt.Fprintf(&b, " %16s", c)
+	for _, cols := range [][]string{t.Columns, t.CPUColumns} {
+		for _, c := range cols {
+			fmt.Fprintf(&b, " %16s", c)
+		}
 	}
 	b.WriteByte('\n')
 	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%14.4g", r.X)
-		for _, v := range r.Values {
-			fmt.Fprintf(&b, " %16.6g", v)
+		if r.Name != "" {
+			fmt.Fprintf(&b, "%14s", r.Name)
+		} else {
+			fmt.Fprintf(&b, "%14.4g", r.X)
+		}
+		for _, vs := range [][]float64{r.Values, r.CPU} {
+			for _, v := range vs {
+				fmt.Fprintf(&b, " %16.6g", v)
+			}
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// CSV renders the table as comma-separated values with a header row, ready
-// for external plotting tools.
-func (t Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(csvEscape(t.XLabel))
-	for _, c := range t.Columns {
-		b.WriteByte(',')
-		b.WriteString(csvEscape(c))
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%g", r.X)
-		for _, v := range r.Values {
-			fmt.Fprintf(&b, ",%g", v)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
-	}
-	return s
 }
 
 // Experiment regenerates one of the paper's figures at the configured scale.
@@ -104,23 +92,26 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// TableDefaults reports the effective parameter set (Table 7.1 analogue).
+// TableDefaults reports the effective parameter set (Table 7.1 analogue),
+// one named row per parameter.
 func TableDefaults(base Config) Table {
 	t := Table{
 		ID:      "table7.1",
 		Title:   "Simulation parameters in effect",
-		XLabel:  "—",
+		XLabel:  "parameter",
 		Columns: []string{"value"},
 	}
-	add := func(v float64) { t.Rows = append(t.Rows, TableRow{X: float64(len(t.Rows)), Values: []float64{v}}) }
-	add(float64(base.N))
-	add(float64(base.W))
-	add(base.MeanSpeed)
-	add(base.MeanPeriod)
-	add(base.QLen)
-	add(float64(base.KMax))
-	add(float64(base.GridM))
-	add(base.Duration)
+	add := func(name string, v float64) {
+		t.Rows = append(t.Rows, TableRow{Name: name, X: float64(len(t.Rows)), Values: []float64{v}})
+	}
+	add("N", float64(base.N))
+	add("W", float64(base.W))
+	add("v̄", base.MeanSpeed)
+	add("t̄v", base.MeanPeriod)
+	add("qlen", base.QLen)
+	add("kmax", float64(base.KMax))
+	add("M", float64(base.GridM))
+	add("horizon", base.Duration)
 	return t
 }
 
@@ -182,11 +173,11 @@ func querySweep(base Config) []int {
 // SRB, linear for the PRD family.
 func Fig72a(base Config) Table {
 	t := Table{ID: "fig7.2a", Title: "CPU time per time unit vs W", XLabel: "W",
-		Columns: []string{"SRB", "PRD(1)", "PRD(0.1)", "PRDGrid(0.1)"}}
+		CPUColumns: []string{"SRB", "PRD(1)", "PRD(0.1)", "PRDGrid(0.1)"}}
 	for _, w := range querySweep(base) {
 		cfg := base
 		cfg.W = w
-		t.Rows = append(t.Rows, TableRow{X: float64(w), Values: []float64{
+		t.Rows = append(t.Rows, TableRow{X: float64(w), CPU: []float64{
 			RunSRB(cfg).CPUPerTimeUnit,
 			RunPRD(cfg, 1).CPUPerTimeUnit,
 			RunPRD(cfg, 0.1).CPUPerTimeUnit,
@@ -232,11 +223,11 @@ func objectSweep(base Config) []int {
 // PRD.
 func Fig73a(base Config) Table {
 	t := Table{ID: "fig7.3a", Title: "CPU time per time unit vs N", XLabel: "N",
-		Columns: []string{"SRB", "PRD(1)", "PRD(0.1)", "PRDGrid(0.1)"}}
+		CPUColumns: []string{"SRB", "PRD(1)", "PRD(0.1)", "PRDGrid(0.1)"}}
 	for _, n := range objectSweep(base) {
 		cfg := base
 		cfg.N = n
-		t.Rows = append(t.Rows, TableRow{X: float64(n), Values: []float64{
+		t.Rows = append(t.Rows, TableRow{X: float64(n), CPU: []float64{
 			RunSRB(cfg).CPUPerTimeUnit,
 			RunPRD(cfg, 1).CPUPerTimeUnit,
 			RunPRD(cfg, 0.1).CPUPerTimeUnit,
@@ -296,14 +287,13 @@ func Fig74b(base Config) Table {
 // cap safe regions) while CPU time falls (fewer relevant queries per cell).
 func Fig75(base Config) Table {
 	t := Table{ID: "fig7.5", Title: "Cost and CPU vs grid partitioning M", XLabel: "M",
-		Columns: []string{"SRB comm", "SRB cpu"}}
+		Columns: []string{"SRB comm"}, CPUColumns: []string{"SRB cpu"}}
 	for _, m := range []int{5, 10, 20, 50, 100} {
 		cfg := base
 		cfg.GridM = m
 		r := RunSRB(cfg)
-		t.Rows = append(t.Rows, TableRow{X: float64(m), Values: []float64{
-			r.CommPerClientTime, r.CPUPerTimeUnit,
-		}})
+		t.Rows = append(t.Rows, TableRow{X: float64(m),
+			Values: []float64{r.CommPerClientTime}, CPU: []float64{r.CPUPerTimeUnit}})
 	}
 	return t
 }

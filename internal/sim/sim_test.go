@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -161,6 +163,10 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
+// TestExperimentTablesRun runs every experiment twice and pins what
+// `srb-sim -json` writes: each table decodes back to itself, and the
+// wall-clock timings sit in the CPU columns alone, so the compared columns
+// repeat bit for bit from the seed.
 func TestExperimentTablesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweeps are slow")
@@ -170,12 +176,23 @@ func TestExperimentTablesRun(t *testing.T) {
 	base.W = 8
 	base.Duration = 2
 	for _, e := range Experiments() {
-		tab := e.Run(base)
-		if len(tab.Rows) == 0 {
-			t.Fatalf("%s produced no rows", e.ID)
+		tab, again := e.Run(base), e.Run(base)
+		data, err := json.Marshal(tab)
+		var decoded Table
+		if err == nil {
+			err = json.Unmarshal(data, &decoded)
 		}
-		if s := tab.Format(); len(s) == 0 {
-			t.Fatalf("%s format empty", e.ID)
+		if err != nil || len(tab.Rows) == 0 || !reflect.DeepEqual(decoded, tab) {
+			t.Fatalf("%s does not round-trip through JSON (%v):\n%s", e.ID, err, data)
+		}
+		if timed := e.ID == "fig7.2a" || e.ID == "fig7.3a" || e.ID == "fig7.5"; timed != (len(tab.CPUColumns) > 0) {
+			t.Errorf("%s: CPU columns %q", e.ID, tab.CPUColumns)
+		}
+		for i, r := range tab.Rows {
+			if len(r.Values) != len(tab.Columns) || len(r.CPU) != len(tab.CPUColumns) || !reflect.DeepEqual(r.Values, again.Rows[i].Values) {
+				t.Errorf("%s x = %v: values %v (rerun %v) for %q, timings %v for %q",
+					e.ID, r.X, r.Values, again.Rows[i].Values, tab.Columns, r.CPU, tab.CPUColumns)
+			}
 		}
 	}
 }
@@ -191,19 +208,13 @@ func TestPaperConfigShape(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tab := Table{
-		XLabel:  "tau",
-		Columns: []string{"SRB", "PRD(0.1)", `weird,"col`},
-		Rows: []TableRow{
-			{X: 0, Values: []float64{1, 0.5, 2}},
-			{X: 0.25, Values: []float64{0.9, 0.4, 3}},
-		},
+func TestTableDefaultsNames(t *testing.T) {
+	var names []string
+	for _, r := range TableDefaults(Default()).Rows {
+		names = append(names, r.Name)
 	}
-	got := tab.CSV()
-	want := "tau,SRB,PRD(0.1),\"weird,\"\"col\"\n0,1,0.5,2\n0.25,0.9,0.4,3\n"
-	if got != want {
-		t.Fatalf("CSV:\n%q\nwant\n%q", got, want)
+	if want := []string{"N", "W", "v̄", "t̄v", "qlen", "kmax", "M", "horizon"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("table7.1 rows are named %q, want %q", names, want)
 	}
 }
 
