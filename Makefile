@@ -106,22 +106,24 @@ debug:
 # benchmark workload, load.ServerFamilies must list exactly METRICS.md's
 # server families, EXPERIMENTS.md's tagged blocks must print REPRO_DEFAULT.json,
 # Table 7.1 and Fig 7.1(b)'s τ = 0 row must recompute bit for bit (~7 s), every
-# `srb-sim -exp` id and Benchmark name a document cites must exist, and vet
-# stays clean. The nine tests also run under plain `make test`; this target is
-# the fast path for the CI docs job.
+# `srb-sim -exp` id and Benchmark name a document cites must exist, every fuzz
+# target must be run by fuzz-smoke, and vet stays clean. The ten tests also run
+# under plain `make test`; this target is the fast path for the CI docs job.
 docs:
-	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestServerFlagsDocumented|TestDocsLinksResolve|TestCIMakeTargetsExist|TestBenchCountsCoverWorkloads|TestLoadRequiresEveryServerFamily|TestExperimentsDocMatchesRecord|TestReproRecordSlice|TestDocCommandsExist' -v .
+	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestServerFlagsDocumented|TestDocsLinksResolve|TestCIMakeTargetsExist|TestBenchCountsCoverWorkloads|TestLoadRequiresEveryServerFamily|TestExperimentsDocMatchesRecord|TestReproRecordSlice|TestDocCommandsExist|TestFuzzTargetsInSmoke' -v .
 	$(GO) vet ./...
 
-# Short fuzz runs of the geometry and R*-tree oracles, the kNN search
-# reference, the journal replay and snapshot decoders, the wire and journal
-# codecs against encoding/json, the wire frame reader and the lint CFG
-# builder; enough to catch regressions without holding up the gate.
+# Short fuzz runs of the geometry and R*-tree oracles, the batch safe-region
+# construction, the kNN search reference, the journal replay and snapshot
+# decoders, the wire and journal codecs against encoding/json, the wire frame
+# reader and the lint CFG builder; enough to catch regressions without holding
+# up the gate. TestFuzzTargetsInSmoke requires every fuzz target here.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzIrlpCircle$$ -fuzztime=10s ./internal/geom/
 	$(GO) test -fuzz=FuzzIrlpCircleComplement -fuzztime=10s ./internal/geom/
 	$(GO) test -fuzz=FuzzIrlpRing -fuzztime=10s ./internal/geom/
 	$(GO) test -fuzz=FuzzTreeOps -fuzztime=10s ./internal/rtree/
+	$(GO) test -fuzz=FuzzBatch -fuzztime=10s ./internal/saferegion/
 	$(GO) test -fuzz=FuzzReplayJournal -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzJournalEntryCodec -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzMessageCodec -fuzztime=10s ./internal/wire/

@@ -6,8 +6,9 @@ package srb_test
 // name must exist, BENCH_COUNTS.json must pin every benchmark workload, the
 // load harness must require exactly METRICS.md's server families,
 // EXPERIMENTS.md must print REPRO_DEFAULT.json's numbers, one row of that
-// record must recompute bit for bit, and every simulator experiment and
-// benchmark a document cites must exist.
+// record must recompute bit for bit, every simulator experiment and
+// benchmark a document cites must exist, and `make fuzz-smoke` must run every
+// fuzz target.
 // All run under plain `go test` and in the CI docs job.
 
 import (
@@ -571,5 +572,58 @@ func TestDocCommandsExist(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFuzzTargetsInSmoke requires every fuzz target of the module — a
+// `func Fuzz<Name>(` in a _test.go outside bench/ — to be run by a line of
+// the `fuzz-smoke` recipe in the Makefile on its own package; a target the
+// recipe does not name never runs.
+func TestFuzzTargetsInSmoke(t *testing.T) {
+	var recipe []string
+	lines := strings.Split(readRepoFile(t, "Makefile"), "\n")
+	for i, line := range lines {
+		if strings.HasPrefix(line, "fuzz-smoke:") {
+			for _, l := range lines[i+1:] {
+				if !strings.HasPrefix(l, "\t") {
+					break
+				}
+				recipe = append(recipe, l)
+			}
+		}
+	}
+	run := regexp.MustCompile(`-fuzz=(Fuzz\w+)\S*\s.*\s(\./\S+?)/?$`)
+	runs := map[string]string{} // fuzz target -> package directory
+	for _, l := range recipe {
+		if m := run.FindStringSubmatch(l); m != nil {
+			runs[m[1]] = m[2]
+		}
+	}
+	if len(runs) == 0 {
+		t.Fatal("no -fuzz= lines found in the fuzz-smoke recipe")
+	}
+	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	found := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path == "bench" {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range fuzzFunc.FindAllStringSubmatch(string(src), -1) {
+			found++
+			if dir := "./" + filepath.Dir(path); runs[m[1]] != dir {
+				t.Errorf("%s defines %s, which the fuzz-smoke recipe does not run on %s", path, m[1], dir)
+			}
+		}
+		return err
+	})
+	if err != nil || found == 0 {
+		t.Fatalf("scan test files: %d fuzz targets, %v", found, err)
 	}
 }

@@ -367,10 +367,7 @@ func (m *Monitor) Deregister(id query.ID) bool {
 	delete(m.queries, id)
 	if m.mobs != nil {
 		m.mobs.lg.retire(id)
-		m.mobs.queries.Set(float64(len(m.queries)))
-		m.mobs.qTracked.Set(float64(len(m.mobs.lg.entries)))
-		m.mobs.qRetired.Add(m.mobs.lg.retiredN - m.mobs.lg.retiredFolded)
-		m.mobs.lg.retiredFolded = m.mobs.lg.retiredN
+		m.mobs.publish(m)
 		m.mobs.fr.Record(obs.Event{Kind: obs.KindCoreDeregister, Trace: m.opTrace, Query: uint64(id)})
 	}
 	m.assertInvariants()

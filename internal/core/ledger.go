@@ -26,7 +26,7 @@ import (
 // explicit Unattributed bucket. Deregistered queries fold into a Retired
 // aggregate. The invariant — proven by the differential tests — is
 //
-//	sum(entries) + Unattributed + Retired == global obs counters
+//	sum(entries) + Unattributed + Retired == Stats growth since the ledger started
 //
 // for every mirrored counter, on both the sequential and the batch path.
 
@@ -113,10 +113,7 @@ type ledger struct {
 	causeBy map[uint64]query.ID
 	opChain []query.ID
 
-	// Folding cursors for the registry counters updated in monObs.done.
-	wireTotal     int64
-	wireFolded    int64
-	retiredFolded int64
+	wireTotal int64 // estimated wire bytes booked since the ledger started
 }
 
 func newLedger(m *Monitor) *ledger {
@@ -128,25 +125,6 @@ func newLedger(m *Monitor) *ledger {
 		lg.entries[id] = &QueryCost{Query: id, Kind: q.Kind.String()}
 	}
 	return lg
-}
-
-// reset re-bases the ledger on the monitor's current query population,
-// zeroing all accumulation. Used after snapshot recovery: the restored Stats
-// predate the ledger, so accounting restarts at the recovery point.
-func (lg *ledger) reset(m *Monitor) {
-	lg.entries = make(map[query.ID]*QueryCost, len(m.queries))
-	for id, q := range m.queries {
-		lg.entries[id] = &QueryCost{Query: id, Kind: q.Kind.String()}
-	}
-	lg.unattributed = QueryCost{}
-	lg.retired = QueryCost{}
-	lg.retiredN = 0
-	lg.cur = nil
-	lg.causeBy = make(map[uint64]query.ID)
-	lg.opChain = lg.opChain[:0]
-	lg.wireTotal = 0
-	lg.wireFolded = 0
-	lg.retiredFolded = 0
 }
 
 // bucket returns the entry work should bill to: the focused query when one is

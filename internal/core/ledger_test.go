@@ -27,33 +27,33 @@ func sumLedger(m *Monitor) QueryCost {
 	return sum
 }
 
-// checkLedgerMirrorsCounters asserts the sum invariant against the global
-// registry counters for every mirrored family.
-func checkLedgerMirrorsCounters(t *testing.T, m *Monitor, r *obs.Registry) {
+// checkLedgerMirrorsCounters asserts the sum invariant for every mirrored
+// family: the ledger's sum equals the global counters, as a scrape of r reads
+// them, less base, the Stats the monitor had when its ledger started.
+func checkLedgerMirrorsCounters(t *testing.T, m *Monitor, r *obs.Registry, base Stats) {
 	t.Helper()
 	sum := sumLedger(m)
+	scraped := Scrape(t, r)
 	for _, tc := range []struct {
 		name string
 		got  int64
+		base int64
 	}{
-		{"srb_updates_total", sum.Updates},
-		{"srb_probes_total", sum.Probes},
-		{"srb_probes_avoided_total", sum.ProbesAvoided},
-		{"srb_virtual_probes_total", sum.Shrinks},
-		{"srb_reevaluations_total", sum.Reevals},
-		{"srb_full_reevaluations_total", sum.FullReevals},
-		{"srb_new_query_evals_total", sum.NewQueryEvals},
-		{"srb_safe_regions_built_total", sum.SafeRegions},
-		{"srb_result_changes_total", sum.ResultChanges},
+		{"srb_updates_total", sum.Updates, base.SourceUpdates},
+		{"srb_probes_total", sum.Probes, base.Probes},
+		{"srb_probes_avoided_total", sum.ProbesAvoided, base.ProbesAvoided},
+		{"srb_virtual_probes_total", sum.Shrinks, base.VirtualProbes},
+		{"srb_reevaluations_total", sum.Reevals, base.Reevaluations},
+		{"srb_full_reevaluations_total", sum.FullReevals, base.FullReevals},
+		{"srb_new_query_evals_total", sum.NewQueryEvals, base.NewQueryEvals},
+		{"srb_safe_regions_built_total", sum.SafeRegions, base.SafeRegionsBuilt},
+		{"srb_result_changes_total", sum.ResultChanges, base.ResultChanges},
+		{`srb_knn_case_total{case="1"}`, sum.KNNCase1, base.KNNCases[0]},
+		{`srb_knn_case_total{case="2"}`, sum.KNNCase2, base.KNNCases[1]},
+		{`srb_knn_case_total{case="3"}`, sum.KNNCase3, base.KNNCases[2]},
 	} {
-		if want := r.Counter(tc.name, "").Value(); tc.got != want {
-			t.Errorf("ledger sum %d != global counter %s %d", tc.got, tc.name, want)
-		}
-	}
-	for i, got := range []int64{sum.KNNCase1, sum.KNNCase2, sum.KNNCase3} {
-		name := string(rune('1' + i))
-		if want := r.Counter("srb_knn_case_total", "", "case", name).Value(); got != want {
-			t.Errorf("ledger kNN case %s sum %d != counter %d", name, got, want)
+		if want := int64(scraped[tc.name]) - tc.base; tc.got != want {
+			t.Errorf("ledger sum %d != global counter %s %d less base %d", tc.got, tc.name, want+tc.base, tc.base)
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestLedgerSumsToGlobalCounters(t *testing.T) {
 			w.mon.SetObs(sink)
 			driveLedgerWorkload(t, w)
 
-			checkLedgerMirrorsCounters(t, w.mon, reg)
+			checkLedgerMirrorsCounters(t, w.mon, reg, Stats{})
 
 			// The workload must actually attribute work: at least the range and
 			// kNN queries saw reevaluations, and the retired COUNT query's work
@@ -147,11 +147,12 @@ func TestLedgerSumsToGlobalCounters(t *testing.T) {
 
 			// Wire-byte accounting is internally consistent: the registry
 			// counter carries what the ledger accumulated.
-			if got, want := reg.Counter("srb_query_wire_bytes_total", "").Value(), sumLedger(w.mon).WireBytes; got != want {
-				t.Errorf("srb_query_wire_bytes_total = %d, ledger sum %d", got, want)
+			scraped := Scrape(t, reg)
+			if got, want := scraped["srb_query_wire_bytes_total"], sumLedger(w.mon).WireBytes; got != float64(want) {
+				t.Errorf("srb_query_wire_bytes_total = %g, ledger sum %d", got, want)
 			}
-			if got := reg.Counter("srb_query_retired_total", "").Value(); got != 1 {
-				t.Errorf("srb_query_retired_total = %d, want 1", got)
+			if got := scraped["srb_query_retired_total"]; got != 1 {
+				t.Errorf("srb_query_retired_total = %g, want 1", got)
 			}
 		})
 	}
@@ -286,8 +287,9 @@ func TestLedgerSlowOpLog(t *testing.T) {
 
 // TestLedgerSurvivesRecovery replays a mid-run snapshot + journal suffix into
 // a fresh instrumented monitor and checks that (a) every recovered query has
-// a ledger entry, (b) the sum invariant holds over the replayed suffix, and
-// (c) it keeps holding for traffic after recovery.
+// a ledger entry, (b) the sum invariant holds over the replayed suffix (the
+// counters' growth past the snapshot's totals), and (c) it keeps holding for
+// traffic after recovery.
 func TestLedgerSurvivesRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	r := newJournaledRun(t, 2026)
@@ -329,6 +331,8 @@ func TestLedgerSurvivesRecovery(t *testing.T) {
 	if err := recovered.LoadSnapshot(bytes.NewReader(r.midSnap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
+	// The counters continue from the snapshot's Stats; the ledger restarts.
+	base := recovered.Stats()
 	// After recovery every registered query must already be tracked, zeroed.
 	costs := recovered.QueryCosts()
 	if len(costs) != 2 {
@@ -345,7 +349,7 @@ func TestLedgerSurvivesRecovery(t *testing.T) {
 	if recovered.Stats() != r.mon.Stats() {
 		t.Fatalf("recovery diverged:\nrecovered %+v\noriginal  %+v", recovered.Stats(), r.mon.Stats())
 	}
-	checkLedgerMirrorsCounters(t, recovered, reg)
+	checkLedgerMirrorsCounters(t, recovered, reg, base)
 
 	// Post-recovery traffic keeps the invariant and lands on live entries.
 	replaying = false
@@ -359,7 +363,7 @@ func TestLedgerSurvivesRecovery(t *testing.T) {
 		pos[id] = np
 		recovered.Update(id, np)
 	}
-	checkLedgerMirrorsCounters(t, recovered, reg)
+	checkLedgerMirrorsCounters(t, recovered, reg, base)
 	var reevals int64
 	for _, c := range recovered.QueryCosts() {
 		reevals += c.Reevals

@@ -111,15 +111,16 @@ func (o Options) withDefaults() Options {
 // Stats counts the work performed by the Monitor, the basis of the cost
 // metrics in Section 7.
 type Stats struct {
-	SourceUpdates    int64 // client-initiated location updates processed
-	Probes           int64 // server-initiated probes issued
-	Reevaluations    int64 // incremental query reevaluations
-	FullReevals      int64 // reevaluations that fell back to from-scratch
-	NewQueryEvals    int64 // from-scratch evaluations of new queries
-	SafeRegionsBuilt int64 // full safe-region computations
-	ResultChanges    int64 // result updates pushed to application servers
-	ProbesAvoided    int64 // range-query ambiguities resolved without a probe
-	VirtualProbes    int64 // reachability-circle safe-region shrinks (§6.1)
+	SourceUpdates    int64    // client-initiated location updates processed
+	Probes           int64    // server-initiated probes issued
+	Reevaluations    int64    // incremental query reevaluations
+	FullReevals      int64    // reevaluations that fell back to from-scratch
+	NewQueryEvals    int64    // from-scratch evaluations of new queries
+	SafeRegionsBuilt int64    // full safe-region computations
+	ResultChanges    int64    // result updates pushed to application servers
+	ProbesAvoided    int64    // range-query ambiguities resolved without a probe
+	VirtualProbes    int64    // reachability-circle safe-region shrinks (§6.1)
+	KNNCases         [3]int64 // order-sensitive kNN reevaluations by §4.3 case: leave, enter, reorder
 }
 
 type objectState struct {

@@ -40,89 +40,36 @@ func driveObsWorkload(t *testing.T, w *world) {
 	w.mon.Deregister(4)
 }
 
-// TestObsCountersMirrorStats drives a workload with a sink attached and checks
-// that the registry counters land exactly on the monitor's own Stats, that
-// the gauges track the populations, and that the op histograms saw every
-// instrumented operation.
-func TestObsCountersMirrorStats(t *testing.T) {
-	sink := obs.NewSink(obs.NewRegistry(), obs.NewFlightRecorder(0, ""))
+// ObsWorkload runs driveObsWorkload on a monitor with sink attached and
+// returns the monitor with its prober's position table, so the external
+// tests (obs_mirror_test.go, which may import parallel) can keep driving it.
+func ObsWorkload(t *testing.T, sink *obs.Sink) (*Monitor, map[uint64]geom.Point) {
+	t.Helper()
 	w := newWorld(t, Options{GridM: 10, Space: geom.R(0, 0, 100, 100)})
 	w.mon.SetObs(sink)
 	driveObsWorkload(t, w)
+	return w.mon, w.pos
+}
 
-	st := w.mon.Stats()
-	r := sink.Registry()
-	for _, tc := range []struct {
-		name string
-		want int64
-	}{
-		{"srb_updates_total", st.SourceUpdates},
-		{"srb_probes_total", st.Probes},
-		{"srb_probes_avoided_total", st.ProbesAvoided},
-		{"srb_virtual_probes_total", st.VirtualProbes},
-		{"srb_reevaluations_total", st.Reevaluations},
-		{"srb_full_reevaluations_total", st.FullReevals},
-		{"srb_new_query_evals_total", st.NewQueryEvals},
-		{"srb_safe_regions_built_total", st.SafeRegionsBuilt},
-		{"srb_result_changes_total", st.ResultChanges},
-	} {
-		if got := r.Counter(tc.name, "").Value(); got != tc.want {
-			t.Errorf("%s = %d, want %d (Stats mirror)", tc.name, got, tc.want)
-		}
-	}
-	if got := r.Gauge("srb_objects", "").Value(); got != 59 {
-		t.Errorf("srb_objects = %g, want 59", got)
-	}
-	if got := r.Gauge("srb_queries", "").Value(); got != 3 {
-		t.Errorf("srb_queries = %g, want 3", got)
-	}
-	// Every Update/Add/Remove/Register went through its op histogram.
-	opCount := func(op string) int64 {
-		return r.Histogram("srb_op_seconds", "", obs.LatencyBuckets(), "op", op).Count()
-	}
-	if got := opCount("update"); got != st.SourceUpdates {
-		t.Errorf("update histogram count = %d, want %d (one per Update)", got, st.SourceUpdates)
-	}
-	if got := opCount("add"); got != 60 {
-		t.Errorf("add histogram count = %d, want 60", got)
-	}
-	if got := opCount("remove"); got != 1 {
-		t.Errorf("remove histogram count = %d, want 1", got)
-	}
-	if got := opCount("register"); got != 4 {
-		t.Errorf("register histogram count = %d, want 4", got)
-	}
-	// kNN case counters only fire on the order-sensitive incremental paths;
-	// with 200 moves around a k=5 query at least one case must have fired.
-	var knn int64
-	for _, c := range []string{"1", "2", "3"} {
-		knn += r.Counter("srb_knn_case_total", "", "case", c).Value()
-	}
-	if knn == 0 {
-		t.Error("no srb_knn_case_total increments after 200 moves")
-	}
-	// The ring saw decision-level events from the workload.
-	fr := sink.Recorder()
-	if fr.Total() == 0 {
-		t.Fatal("ring recorded no events")
-	}
-	kinds := map[string]bool{}
-	for _, e := range fr.Events() {
-		kinds[e.Kind] = true
-	}
-	for _, want := range []string{obs.KindCoreUpdate, obs.KindCoreReevaluate} {
-		if !kinds[want] {
-			t.Errorf("ring has no %q event; got %v", want, kinds)
-		}
-	}
-	// The whole state round-trips through the text exposition.
+// Scrape renders r the way /metrics does and parses it back: every sample by
+// its full name, labels included.
+func Scrape(t *testing.T, r *obs.Registry) map[string]float64 {
+	t.Helper()
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obs.ParseText(strings.NewReader(sb.String())); err != nil {
-		t.Fatalf("core-driven exposition does not parse: %v", err)
+	fams, err := obs.ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
 	}
+	out := map[string]float64{}
+	for _, f := range fams {
+		for name, v := range f.Samples {
+			out[name] = v
+		}
+	}
+	return out
 }
 
 // TestObsNilSinkIsNeutral checks that the uninstrumented monitor behaves
@@ -156,5 +103,18 @@ func TestObsNilSinkIsNeutral(t *testing.T) {
 	inst.mon.SetObs(nil)
 	if inst.mon.mobs != nil {
 		t.Fatal("SetObs(nil) must detach")
+	}
+}
+
+// TestPublishAllocatesNothing pins that refreshing the copy a scrape reads,
+// which runs after every instrumented op and fast-path apply, allocates
+// nothing.
+func TestPublishAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	mon, _ := ObsWorkload(t, obs.NewSink(obs.NewRegistry(), nil))
+	if n := testing.AllocsPerRun(100, func() { mon.mobs.publish(mon) }); n != 0 {
+		t.Fatalf("publish allocates %g objects per call, want 0", n)
 	}
 }

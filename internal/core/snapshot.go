@@ -125,11 +125,11 @@ func (m *Monitor) LoadSnapshot(r io.Reader) error {
 		m.setResults(q, qs.Results)
 		m.grid.Insert(q)
 	}
-	// The restored Stats predate any attached ledger; re-base per-query
-	// accounting on the recovered query population so attribution (and the
-	// sum-to-global-counters invariant) restarts cleanly at the recovery point.
+	// The restored Stats predate any attached ledger, so per-query accounting
+	// restarts at the recovery point; the counters continue from the Stats.
 	if m.mobs != nil {
-		m.mobs.lg.reset(m)
+		m.mobs.lg = newLedger(m)
+		m.mobs.publish(m)
 	}
 	m.assertInvariants()
 	return nil

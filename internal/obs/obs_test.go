@@ -29,6 +29,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
 	r.GaugeFunc("x", "", func() float64 { return 1 })
+	r.CounterFunc("x", "", func() int64 { return 1 })
 	if err := r.WriteText(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +59,35 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("gauge = %g, want 2.5", got)
 	}
 	r.GaugeFunc("srb_test_fn", "help", func() float64 { return 7 })
+}
+
+// TestCounterFunc pins that a scrape-time counter renders exactly like a
+// Counter — TYPE counter, an integer sample, an int64 in the expvar snapshot
+// — and that re-registering replaces its function.
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	n := int64(41)
+	r.CounterFunc("srb_test_total", "help", func() int64 { return n }, "kind", "a")
+	n++
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP srb_test_total help\n# TYPE srb_test_total counter\nsrb_test_total{kind=\"a\"} 42\n"
+	if sb.String() != want {
+		t.Fatalf("exposition = %q, want %q", sb.String(), want)
+	}
+	if v, ok := r.expvarSnapshot()[`srb_test_total{kind="a"}`].(int64); !ok || v != 42 {
+		t.Fatalf("expvar sample = %#v, want int64 42", r.expvarSnapshot()[`srb_test_total{kind="a"}`])
+	}
+	r.CounterFunc("srb_test_total", "help", func() int64 { return 7 }, "kind", "a")
+	sb.Reset()
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(sb.String(), `srb_test_total{kind="a"} 7`+"\n") {
+		t.Fatalf("re-registration did not replace the function:\n%s", sb.String())
+	}
 }
 
 func TestHistogramBuckets(t *testing.T) {

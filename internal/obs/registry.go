@@ -15,6 +15,7 @@
 package obs
 
 import (
+	"bytes"
 	"expvar"
 	"fmt"
 	"io"
@@ -166,12 +167,14 @@ const (
 	typeHistogram = "histogram"
 )
 
-// series is one labeled instance of a metric family. Exactly one of the
-// instrument fields is set.
+// series is one labeled instance of a metric family. Exactly one of cf, gf
+// and h is set; c and g hold the instrument Counter and Gauge hand out, whose
+// Value is then cf or gf.
 type series struct {
 	labels string // `k="v",k2="v2"` without braces; "" for unlabeled
 	c      *Counter
 	g      *Gauge
+	cf     func() int64
 	gf     func() float64
 	h      *Histogram
 }
@@ -263,8 +266,23 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	_, s, ok := r.lookup(name, help, typeCounter, labelString(labels))
 	if !ok {
 		s.c = &Counter{}
+		s.cf = s.c.Value
 	}
 	return s.c
+}
+
+// CounterFunc registers a counter read from fn at exposition time, for a
+// count its component already keeps; it renders like Counter. fn has
+// GaugeFunc's contract, and re-registering the same name+labels replaces it.
+func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, s, _ := r.lookup(name, help, typeCounter, labelString(labels))
+	s.c = nil
+	s.cf = fn
 }
 
 // Gauge registers (or returns the existing) gauge.
@@ -277,6 +295,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	_, s, ok := r.lookup(name, help, typeGauge, labelString(labels))
 	if !ok {
 		s.g = &Gauge{}
+		s.gf = s.g.Value
 	}
 	return s.g
 }
@@ -329,20 +348,20 @@ func (r *Registry) WriteText(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, f := range r.sortedFamilies() {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-			f.name, escapeHelp(f.help), f.name, f.typ); err != nil {
-			return err
-		}
-		for _, s := range f.series {
-			if err := writeSeries(w, f, s); err != nil {
-				return err
+	// Render under the lock, write after it: a slow reader never holds it.
+	var b bytes.Buffer
+	func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, f := range r.sortedFamilies() {
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.typ)
+			for _, s := range f.series {
+				writeSeries(&b, f, s)
 			}
 		}
-	}
-	return nil
+	}()
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 func escapeHelp(h string) string {
@@ -370,37 +389,23 @@ func sampleName(name, labels, extra string) string {
 	return name + "{" + body + "}"
 }
 
-func writeSeries(w io.Writer, f *family, s *series) error {
+func writeSeries(b *bytes.Buffer, f *family, s *series) {
 	switch {
-	case s.c != nil:
-		_, err := fmt.Fprintf(w, "%s %d\n", sampleName(f.name, s.labels, ""), s.c.Value())
-		return err
-	case s.g != nil:
-		_, err := fmt.Fprintf(w, "%s %s\n", sampleName(f.name, s.labels, ""), formatFloat(s.g.Value()))
-		return err
+	case s.cf != nil:
+		fmt.Fprintf(b, "%s %d\n", sampleName(f.name, s.labels, ""), s.cf())
 	case s.gf != nil:
-		_, err := fmt.Fprintf(w, "%s %s\n", sampleName(f.name, s.labels, ""), formatFloat(s.gf()))
-		return err
+		fmt.Fprintf(b, "%s %s\n", sampleName(f.name, s.labels, ""), formatFloat(s.gf()))
 	case s.h != nil:
 		var cum int64
 		for i, bound := range s.h.bounds {
 			cum += s.h.counts[i].Load()
-			le := `le="` + formatFloat(bound) + `"`
-			if _, err := fmt.Fprintf(w, "%s %d\n", sampleName(f.name+"_bucket", s.labels, le), cum); err != nil {
-				return err
-			}
+			fmt.Fprintf(b, "%s %d\n", sampleName(f.name+"_bucket", s.labels, `le="`+formatFloat(bound)+`"`), cum)
 		}
 		cum += s.h.counts[len(s.h.bounds)].Load()
-		if _, err := fmt.Fprintf(w, "%s %d\n", sampleName(f.name+"_bucket", s.labels, `le="+Inf"`), cum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s %s\n", sampleName(f.name+"_sum", s.labels, ""), formatFloat(s.h.Sum())); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s %d\n", sampleName(f.name+"_count", s.labels, ""), cum)
-		return err
+		fmt.Fprintf(b, "%s %d\n", sampleName(f.name+"_bucket", s.labels, `le="+Inf"`), cum)
+		fmt.Fprintf(b, "%s %s\n", sampleName(f.name+"_sum", s.labels, ""), formatFloat(s.h.Sum()))
+		fmt.Fprintf(b, "%s %d\n", sampleName(f.name+"_count", s.labels, ""), cum)
 	}
-	return nil
 }
 
 // ServeHTTP serves the Prometheus text exposition, so a Registry can be
@@ -455,10 +460,8 @@ func (r *Registry) expvarSnapshot() map[string]interface{} {
 		for _, s := range f.series {
 			name := sampleName(f.name, s.labels, "")
 			switch {
-			case s.c != nil:
-				out[name] = s.c.Value()
-			case s.g != nil:
-				out[name] = s.g.Value()
+			case s.cf != nil:
+				out[name] = s.cf()
 			case s.gf != nil:
 				out[name] = s.gf()
 			case s.h != nil:

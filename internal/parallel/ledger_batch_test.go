@@ -46,12 +46,13 @@ func ledgerSum(m *core.Monitor) core.QueryCost {
 	return sum
 }
 
-// checkBatchLedgerMirror asserts the sum invariant against the global registry
-// counters for every mirrored family, on a monitor driven through the batch
-// pipeline.
+// checkBatchLedgerMirror asserts the sum invariant against the global
+// counters, as a scrape of r reads them, for every mirrored family, on a
+// monitor driven through the batch pipeline.
 func checkBatchLedgerMirror(t *testing.T, m *core.Monitor, r *obs.Registry) {
 	t.Helper()
 	sum := ledgerSum(m)
+	scraped := scrape(t, r)
 	for _, tc := range []struct {
 		name string
 		got  int64
@@ -66,13 +67,13 @@ func checkBatchLedgerMirror(t *testing.T, m *core.Monitor, r *obs.Registry) {
 		{"srb_safe_regions_built_total", sum.SafeRegions},
 		{"srb_result_changes_total", sum.ResultChanges},
 	} {
-		if want := r.Counter(tc.name, "").Value(); tc.got != want {
+		if want := int64(scraped[tc.name]); tc.got != want {
 			t.Errorf("batch ledger sum %d != global counter %s %d", tc.got, tc.name, want)
 		}
 	}
 	for i, got := range []int64{sum.KNNCase1, sum.KNNCase2, sum.KNNCase3} {
 		name := string(rune('1' + i))
-		if want := r.Counter("srb_knn_case_total", "", "case", name).Value(); got != want {
+		if want := int64(scraped[`srb_knn_case_total{case="`+name+`"}`]); got != want {
 			t.Errorf("batch ledger kNN case %s sum %d != counter %d", name, got, want)
 		}
 	}

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"srb/internal/core"
@@ -9,10 +10,31 @@ import (
 	"srb/internal/obs"
 )
 
+// scrape renders r the way /metrics does and parses it back: every sample by
+// its full name, labels included.
+func scrape(t *testing.T, r *obs.Registry) map[string]float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	out := map[string]float64{}
+	for _, f := range fams {
+		for name, v := range f.Samples {
+			out[name] = v
+		}
+	}
+	return out
+}
+
 // TestPipelineObs drives batches through an instrumented pipeline and checks
-// that the registry counters mirror the pipeline Stats, the phase histograms
-// saw one observation per batch, and the fast-path fraction gauge lands on
-// Fast/Updates.
+// that the scraped counters read the pipeline Stats, the phase histograms
+// saw one observation per batch, the fast-path fraction gauge lands on
+// Fast/Updates, and a detached pipeline no longer moves the counters.
 func TestPipelineObs(t *testing.T) {
 	pos := map[uint64]geom.Point{}
 	mon := core.New(core.Options{Space: geom.R(0, 0, 100, 100), GridM: 10}, core.ProberFunc(func(id uint64) geom.Point { return pos[id] }), nil)
@@ -43,6 +65,7 @@ func TestPipelineObs(t *testing.T) {
 
 	st := pipe.Stats()
 	r := sink.Registry()
+	scraped := scrape(t, r)
 	for _, tc := range []struct {
 		name string
 		want int64
@@ -53,8 +76,8 @@ func TestPipelineObs(t *testing.T) {
 		{"srb_batch_fast_total", st.Fast},
 		{"srb_batch_fallback_total", st.Fallback},
 	} {
-		if got := r.Counter(tc.name, "").Value(); got != tc.want {
-			t.Errorf("%s = %d, want %d (Stats mirror)", tc.name, got, tc.want)
+		if got, ok := scraped[tc.name]; !ok || int64(got) != tc.want {
+			t.Errorf("%s = %g (present %v), want %d (Stats mirror)", tc.name, got, ok, tc.want)
 		}
 	}
 	if st.Fast+st.Fallback != st.Updates {
@@ -71,7 +94,7 @@ func TestPipelineObs(t *testing.T) {
 	}
 	wantFrac := float64(st.Fast) / float64(st.Updates)
 	//lint:allow floatcmp gauge stores exactly the value computed from the same integers
-	if got := r.Gauge("srb_batch_fastpath_fraction", "").Value(); got != wantFrac {
+	if got := scraped["srb_batch_fastpath_fraction"]; got != wantFrac {
 		t.Errorf("fastpath fraction = %g, want %g", got, wantFrac)
 	}
 	// Phase spans landed in the ring.
@@ -90,9 +113,12 @@ func TestPipelineObs(t *testing.T) {
 
 	// SetObs(nil) detaches; further batches must not advance the counters.
 	pipe.SetObs(nil)
-	before := r.Counter("srb_batch_batches_total", "").Value()
+	before := scrape(t, r)["srb_batch_batches_total"]
 	pipe.Apply([]Update{{ID: 1, Loc: pos[1]}})
-	if got := r.Counter("srb_batch_batches_total", "").Value(); got != before {
-		t.Errorf("detached pipeline still counting: %d -> %d", before, got)
+	if pipe.Stats().Batches != st.Batches+1 {
+		t.Fatalf("detached pipeline ran %d batches, want %d", pipe.Stats().Batches, st.Batches+1)
+	}
+	if got := scrape(t, r)["srb_batch_batches_total"]; got != before {
+		t.Errorf("detached pipeline still counting: %g -> %g", before, got)
 	}
 }

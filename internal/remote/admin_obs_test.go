@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"srb/internal/core"
 	"srb/internal/geom"
@@ -225,6 +226,101 @@ func TestAdminMetricsDisabled(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s without sink: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestRecoveredMetricsMatchStats restarts an instrumented server from a
+// snapshot with an empty journal tail and checks that, before any operation,
+// /metrics reads the same population and update count as /stats: the
+// counters continue from the snapshot's totals instead of restarting at 0.
+func TestRecoveredMetricsMatchStats(t *testing.T) {
+	dir := t.TempDir()
+	s := startServerCfg(t, func(s *Server) {
+		s.SetObs(obs.NewSink(obs.NewRegistry(), nil))
+		s.SetLease(time.Minute) // disconnects at Close journal nothing
+		if err := s.SetPersist(dir, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for i := 1; i <= 5; i++ {
+		c, err := DialClient(s.Addr(), uint64(i), geom.Pt(float64(i)*0.15, 0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.Tick(geom.Pt(float64(i)*0.15, 0.9))
+	}
+	app, err := DialApp(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Close()
+	if _, err := app.RegisterKNN(1, geom.Pt(0.5, 0.5), 2, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.RegisterRange(2, geom.R(0.2, 0.2, 0.8, 0.8)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "five objects and their updates", func() bool {
+		var n int
+		var st core.Stats
+		_ = s.do(func() { n, st = s.mon.NumObjects(), s.mon.Stats() })
+		return n == 5 && st.SourceUpdates >= 5
+	})
+	var snapErr error
+	if err := s.do(func() { snapErr = s.snapshotNow() }); err != nil {
+		t.Fatal(err)
+	}
+	if snapErr != nil {
+		t.Fatal(snapErr)
+	}
+	_ = s.Close()
+
+	var rs core.ReplayStats
+	s2 := startServerCfg(t, func(s *Server) {
+		s.SetObs(obs.NewSink(obs.NewRegistry(), nil))
+		if rs, err = s.Recover(dir); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rs.Entries != 0 {
+		t.Fatalf("recovery replayed %d journal entries, want an empty tail", rs.Entries)
+	}
+	srv := httptest.NewServer(s2.AdminHandler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Objects int        `json:"objects"`
+		Queries int        `json:"queries"`
+		Stats   core.Stats `json:"stats"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Objects != 5 || stats.Queries != 2 || stats.Stats.SourceUpdates < 5 {
+		t.Fatalf("recovered /stats = %+v, want 5 objects, 2 queries and the first life's updates", stats)
+	}
+	fams := scrape(t, srv.URL)
+	for _, tc := range []struct {
+		name string
+		want int64
+	}{
+		{"srb_objects", int64(stats.Objects)},
+		{"srb_queries", int64(stats.Queries)},
+		{"srb_updates_total", stats.Stats.SourceUpdates},
+	} {
+		f := fams[tc.name]
+		if f == nil {
+			t.Fatalf("recovered /metrics serves no %s", tc.name)
+		}
+		if got := f.Samples[tc.name]; int64(got) != tc.want {
+			t.Errorf("recovered /metrics %s = %g, /stats says %d", tc.name, got, tc.want)
 		}
 	}
 }

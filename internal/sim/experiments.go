@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // Table is a reproduced figure or table: one row per x-value, one column per
@@ -33,16 +34,16 @@ type TableRow struct {
 func (t Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
-	fmt.Fprintf(&b, "%14s", t.XLabel)
+	b.WriteString(padLeft(t.XLabel, 14))
 	for _, cols := range [][]string{t.Columns, t.CPUColumns} {
 		for _, c := range cols {
-			fmt.Fprintf(&b, " %16s", c)
+			b.WriteString(" " + padLeft(c, 16))
 		}
 	}
 	b.WriteByte('\n')
 	for _, r := range t.Rows {
 		if r.Name != "" {
-			fmt.Fprintf(&b, "%14s", r.Name)
+			b.WriteString(padLeft(r.Name, 14))
 		} else {
 			fmt.Fprintf(&b, "%14.4g", r.X)
 		}
@@ -54,6 +55,17 @@ func (t Table) Format() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// padLeft right-aligns s in w columns. Unlike fmt's width it skips combining
+// marks (unicode.Mn, the macron of table7.1's v̄), which take no column.
+func padLeft(s string, w int) string {
+	for _, r := range s {
+		if !unicode.Is(unicode.Mn, r) {
+			w--
+		}
+	}
+	return strings.Repeat(" ", max(w, 0)) + s
 }
 
 // Experiment regenerates one of the paper's figures at the configured scale.

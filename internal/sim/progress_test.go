@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"srb/internal/obs"
@@ -47,7 +48,15 @@ func TestProgressSnapshots(t *testing.T) {
 	if last.Updates > res.Updates || last.Probes > res.Probes {
 		t.Errorf("last snapshot exceeds final result: %+v vs %+v", last, res)
 	}
-	if got := sink.Registry().Counter("srb_updates_total", "").Value(); got == 0 {
+	var text strings.Builder
+	if err := sink.Registry().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseText(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := fams["srb_updates_total"]; f == nil || f.Samples["srb_updates_total"] == 0 {
 		t.Error("sink counter srb_updates_total did not move during the simulation")
 	}
 	if sink.Recorder().Total() == 0 {

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"unicode"
 )
 
 // tiny returns a configuration small enough for unit tests.
@@ -215,6 +217,27 @@ func TestTableDefaultsNames(t *testing.T) {
 	}
 	if want := []string{"N", "W", "v̄", "t̄v", "qlen", "kmax", "M", "horizon"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("table7.1 rows are named %q, want %q", names, want)
+	}
+}
+
+// TestTableFormatAligns requires every line of table7.1's Format after the
+// title to have the same display width, where a combining mark (unicode.Mn,
+// the macron of v̄ and t̄v) takes no column.
+func TestTableFormatAligns(t *testing.T) {
+	lines := strings.Split(strings.TrimSuffix(TableDefaults(Default()).Format(), "\n"), "\n")
+	width := func(s string) int {
+		n := 0
+		for _, r := range s {
+			if !unicode.Is(unicode.Mn, r) {
+				n++
+			}
+		}
+		return n
+	}
+	for i, line := range lines[1:] {
+		if width(line) != width(lines[1]) {
+			t.Errorf("line %d %q is %d columns wide, the header %d", i+2, line, width(line), width(lines[1]))
+		}
 	}
 }
 
