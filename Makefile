@@ -23,7 +23,7 @@ fmt:
 
 # Project-specific static analysis (internal/analysis): the syntactic checks
 # (floatcmp, lockreentry, sliceescape, bareGoroutine, missingdoc) plus the
-# flow-sensitive v2 suite (lockorder, errdrop, ctxdeadline, distunits), the
+# flow-sensitive v2 suite (lockorder, errdrop, ctxdeadline), the
 # interprocedural v3 suite (maporder, wallclock, allochot) and the v4
 # contract suite (chanlife, goroleak, protodrift, atomicmix). Fails on any
 # unsuppressed finding; known hot-path allocation sites are accepted through
@@ -107,10 +107,11 @@ debug:
 # server families, EXPERIMENTS.md's tagged blocks must print REPRO_DEFAULT.json,
 # Table 7.1 and Fig 7.1(b)'s τ = 0 row must recompute bit for bit (~7 s), every
 # `srb-sim -exp` id and Benchmark name a document cites must exist, every fuzz
-# target must be run by fuzz-smoke, and vet stays clean. The ten tests also run
-# under plain `make test`; this target is the fast path for the CI docs job.
+# target must be run by fuzz-smoke, README's lint table must list exactly
+# srb-lint's checks, and vet stays clean. The eleven tests also run under
+# plain `make test`; this target is the fast path for the CI docs job.
 docs:
-	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestServerFlagsDocumented|TestDocsLinksResolve|TestCIMakeTargetsExist|TestBenchCountsCoverWorkloads|TestLoadRequiresEveryServerFamily|TestExperimentsDocMatchesRecord|TestReproRecordSlice|TestDocCommandsExist|TestFuzzTargetsInSmoke' -v .
+	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestServerFlagsDocumented|TestDocsLinksResolve|TestCIMakeTargetsExist|TestBenchCountsCoverWorkloads|TestLoadRequiresEveryServerFamily|TestExperimentsDocMatchesRecord|TestReproRecordSlice|TestDocCommandsExist|TestFuzzTargetsInSmoke|TestLintTableMatchesSuite' -v .
 	$(GO) vet ./...
 
 # Short fuzz runs of the geometry and R*-tree oracles, the batch safe-region
@@ -141,12 +142,12 @@ fuzz-smoke:
 # admin evidence. At the end of the ramp the update, reevaluation and journal
 # counters moved, /queries attributed work to a hot query, and the worst-tail
 # ack's causal trace ID resolves to a complete update→grant chain in
-# /debug/flightrec. After the drill the recovered server moved its update
-# and reevaluation counters, replayed the journal, resumed and re-pushed
-# sessions, serves every load.ServerFamilies family with samples, and has a
-# non-empty /trace, retired /queries entries, a /stats batch section (both
-# lives run the two-worker pipeline) and traced reconnects in
-# /debug/flightrec. The SLO
+# /debug/flightrec. After the drill the recovered server's update and
+# reevaluation counters are at least the first life's (they continue from
+# the snapshot), it replayed the journal, resumed and re-pushed sessions,
+# serves every load.ServerFamilies family with samples, and has a non-empty
+# /trace, retired /queries entries, a /stats batch section (both lives run
+# the two-worker pipeline) and traced reconnects in /debug/flightrec. The SLO
 # is generous because CI boxes are slow and shared; production capacity runs
 # use `bin/srb-load -slo 50ms -stage-dur 60s` directly (see OPERATIONS.md
 # "Capacity testing").

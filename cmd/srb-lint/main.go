@@ -5,20 +5,19 @@
 // cmd/ and internal/remote), missingdoc (undocumented packages or exported
 // declarations), the flow-sensitive v2 checks built on the CFG/dataflow
 // engine: lockorder (cross-package lock-acquisition-order cycles), errdrop
-// (error values lost along some path), ctxdeadline (blocking wire operations
-// reachable without a deadline) and distunits (distance vs squared-distance
-// mixing) — and the interprocedural v3 checks built on the module call graph
-// and bottom-up summaries: maporder (map-iteration order reaching ordered
-// sinks), wallclock (time.Now/global-rand reads reachable from the
-// deterministic packages) and allochot (allocation sites reachable from
-// //srb:hotpath roots, gated by a checked-in baseline) — and the v4 contract
-// checks combining the call graph, the CFG engine and the type checker's
-// constant information:
-// chanlife (channel lifecycle: sends with no receiver, receive-side or
-// unguarded double closes, blocking channel operations under a mutex),
-// goroleak (goroutines in cmd/, internal/remote and internal/parallel whose
-// infinite loops have no channel/context/error-gated exit), protodrift (wire
-// and journal protocol constants unhandled in dispatch switches or never
+// (error values lost along some path) and ctxdeadline (blocking wire
+// operations reachable without a deadline) — and the interprocedural v3
+// checks built on the module call graph and bottom-up summaries: maporder
+// (map-iteration order reaching ordered sinks), wallclock
+// (time.Now/global-rand reads reachable from the deterministic packages) and
+// allochot (allocation sites reachable from //srb:hotpath roots, gated by a
+// checked-in baseline) — and the v4 contract checks combining the call graph,
+// the CFG engine and the type checker's constant information: chanlife
+// (channel lifecycle: sends with no receiver, receive-side or unguarded
+// double closes, blocking channel operations under a mutex), goroleak
+// (goroutines in cmd/, internal/remote and internal/parallel whose infinite
+// loops have no channel/context/error-gated exit), protodrift (wire and
+// journal protocol constants unhandled in dispatch switches or never
 // produced) and atomicmix (fields accessed both via sync/atomic and plain
 // loads/stores).
 //

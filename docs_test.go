@@ -7,8 +7,8 @@ package srb_test
 // load harness must require exactly METRICS.md's server families,
 // EXPERIMENTS.md must print REPRO_DEFAULT.json's numbers, one row of that
 // record must recompute bit for bit, every simulator experiment and
-// benchmark a document cites must exist, and `make fuzz-smoke` must run every
-// fuzz target.
+// benchmark a document cites must exist, `make fuzz-smoke` must run every
+// fuzz target, and README's lint table must list exactly srb-lint's checks.
 // All run under plain `go test` and in the CI docs job.
 
 import (
@@ -26,6 +26,7 @@ import (
 	"strings"
 	"testing"
 
+	"srb/internal/analysis"
 	"srb/internal/chaos"
 	"srb/internal/core"
 	"srb/internal/geom"
@@ -625,5 +626,41 @@ func TestFuzzTargetsInSmoke(t *testing.T) {
 	})
 	if err != nil || found == 0 {
 		t.Fatalf("scan test files: %d fuzz targets, %v", found, err)
+	}
+}
+
+// TestLintTableMatchesSuite requires README's srb-lint check table to list
+// exactly analysis.All()'s names, in order, and the sentence above it to
+// spell out how many there are, so retiring a check edits README with it.
+func TestLintTableMatchesSuite(t *testing.T) {
+	var want []string
+	for _, a := range analysis.All() {
+		want = append(want, a.Name)
+	}
+	readme := readRepoFile(t, "README.md")
+	start := strings.Index(readme, "| Check | Flags |")
+	if start < 0 {
+		t.Fatal("README.md has no `| Check | Flags |` table")
+	}
+	var got []string
+	row := regexp.MustCompile("^\\| `(\\w+)` \\|")
+	for _, line := range strings.Split(readme[start:], "\n")[2:] {
+		m := row.FindStringSubmatch(line)
+		if m == nil {
+			break
+		}
+		got = append(got, m[1])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("README.md lint table lists %v\nanalysis.All() is      %v", got, want)
+	}
+	said := "no number of"
+	if m := regexp.MustCompile("`srb-lint` runs (\\w+) project-specific checks").FindStringSubmatch(readme); m != nil {
+		said = m[1]
+	}
+	words := []string{"zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten",
+		"eleven", "twelve", "thirteen", "fourteen", "fifteen", "sixteen", "seventeen", "eighteen", "nineteen", "twenty"}
+	if len(want) >= len(words) || said != words[len(want)] {
+		t.Errorf("README.md says `srb-lint` runs %s project-specific checks; analysis.All() has %d", said, len(want))
 	}
 }

@@ -14,23 +14,23 @@
 // (bareGoroutine), and undocumented packages or exported declarations
 // (missingdoc). The flow-sensitive checks, built on the CFG/dataflow
 // engine in cfg.go and dataflow.go: lock-acquisition-order cycles
-// (lockorder), dropped error values (errdrop), blocking network operations
-// without a deadline (ctxdeadline), and distance vs squared-distance unit
-// mixing (distunits). The interprocedural checks, built on the module call
-// graph and bottom-up function summaries in callgraph.go and summary.go: map
-// iteration order reaching ordered sinks (maporder), wall-clock/global-rand
-// reads reaching the deterministic packages (wallclock), and allocation sites
-// reachable from //srb:hotpath roots against a checked-in baseline
-// (allochot). The contract checks, combining the call graph, the CFG engine
-// and the type checker's constant information: channel lifecycle — sends
-// without receivers, receive-side or double closes, blocking channel
-// operations under a mutex (chanlife); goroutine termination — infinite
-// loops in the long-running surfaces with no channel/context/error-gated
-// exit (goroleak); protocol exhaustiveness — wire and journal string
-// constants unhandled in dispatch switches or never produced (protodrift);
-// and atomic/plain access mixing on the same field (atomicmix). See the
-// individual files for the rules, DESIGN.md §8 for the dataflow engine,
-// §12 for the interprocedural layer and §13 for the contract checks.
+// (lockorder), dropped error values (errdrop), and blocking network
+// operations without a deadline (ctxdeadline). The interprocedural checks,
+// built on the module call graph and bottom-up function summaries in
+// callgraph.go and summary.go: map iteration order reaching ordered sinks
+// (maporder), wall-clock/global-rand reads reaching the deterministic
+// packages (wallclock), and allocation sites reachable from //srb:hotpath
+// roots against a checked-in baseline (allochot). The contract checks,
+// combining the call graph, the CFG engine and the type checker's constant
+// information: channel lifecycle — sends without receivers, receive-side or
+// double closes, blocking channel operations under a mutex (chanlife);
+// goroutine termination — infinite loops in the long-running surfaces with no
+// channel/context/error-gated exit (goroleak); protocol exhaustiveness — wire
+// and journal string constants unhandled in dispatch switches or never
+// produced (protodrift); and atomic/plain access mixing on the same field
+// (atomicmix). See the individual files for the rules, DESIGN.md §8 for the
+// dataflow engine, §12 for the interprocedural layer and §13 for the contract
+// checks.
 //
 // # Suppressions
 //
@@ -120,7 +120,7 @@ func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ..
 // callgraph.go and summary.go for the machinery the latter two tiers share.
 func All() []*Analyzer {
 	return []*Analyzer{FloatCmp, LockReentry, SliceEscape, BareGoroutine,
-		MissingDoc, LockOrder, ErrDrop, CtxDeadline, DistUnits,
+		MissingDoc, LockOrder, ErrDrop, CtxDeadline,
 		MapOrder, WallClock, AllocHot,
 		ChanLife, GoroLeak, ProtoDrift, AtomicMix}
 }

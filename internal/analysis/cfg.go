@@ -2,7 +2,7 @@ package analysis
 
 // cfg.go builds intraprocedural control-flow graphs over go/ast function
 // bodies, the foundation of the flow-sensitive analyzers (lockorder, errdrop,
-// ctxdeadline, distunits). The construction is purely syntactic — it needs no
+// ctxdeadline, chanlife). The construction is purely syntactic — it needs no
 // type information — so it also serves the FuzzCFG target, which feeds it
 // arbitrary parseable (possibly semantically invalid) sources.
 //

@@ -49,7 +49,7 @@ func TestRepoIsClean(t *testing.T) {
 		names = append(names, a.Name)
 	}
 	if got, want := strings.Join(names, " "), "floatcmp lockreentry sliceescape bareGoroutine "+
-		"missingdoc lockorder errdrop ctxdeadline distunits "+
+		"missingdoc lockorder errdrop ctxdeadline "+
 		"maporder wallclock allochot "+
 		"chanlife goroleak protodrift atomicmix"; got != want {
 		t.Fatalf("All() = %s\nwant      %s", got, want)

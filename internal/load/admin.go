@@ -113,11 +113,11 @@ func scrapeServer(base string) (*ServerEvidence, []obs.FlightEvent, error) {
 // validateRecovered or 5 s run out: the admin listener, the readiness probe's
 // fire-and-forget deregistration and the resumed sessions' updates may trail
 // the drill. The evidence only grows; Validate judges the last scrape.
-func scrapeRecovered(base string, batch bool) (*ServerEvidence, error) {
+func scrapeRecovered(base string, first *ServerEvidence) (*ServerEvidence, error) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		ev, _, err := scrapeServer(base)
-		if (err == nil && ev.validateRecovered(batch) == nil) || time.Now().After(deadline) {
+		if (err == nil && ev.validateRecovered(first) == nil) || time.Now().After(deadline) {
 			return ev, err
 		}
 		time.Sleep(100 * time.Millisecond)

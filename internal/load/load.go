@@ -498,7 +498,7 @@ func Run(cfg Config) (*Report, error) {
 		rec.Reconnects = h.reconnects() - lastReconnects
 		report.Recovery = rec
 		if cfg.AdminURL != "" {
-			if report.Recovered, err = scrapeRecovered(cfg.AdminURL, report.Server.StatsBatch); err != nil {
+			if report.Recovered, err = scrapeRecovered(cfg.AdminURL, report.Server); err != nil {
 				return nil, err
 			}
 			a := report.Recovered

@@ -123,6 +123,8 @@ func validReport() *Report {
 	for _, name := range ServerFamilies {
 		recovered[name] = 1
 	}
+	// The work counters continue from the snapshot, past the first life's.
+	recovered["srb_updates_total"], recovered["srb_reevaluations_total"] = 600, 350
 	mk := func(n int64) LatencySummary {
 		return LatencySummary{Count: n, P50: 0.001, P99: 0.004, P999: 0.009, Mean: 0.002}
 	}
@@ -192,6 +194,9 @@ func TestReportValidateNegatives(t *testing.T) {
 		{"hot entry booked no work", func(r *Report) { r.Server.Hot[0].Reevals, r.Server.Hot[0].WireBytes = 0, 0 }, "booked no work"},
 		{"recovered updates stuck", func(r *Report) { r.Recovered.Families["srb_updates_total"] = 0 }, "recovered server srb_updates_total"},
 		{"recovered reevaluations stuck", func(r *Report) { r.Recovered.Families["srb_reevaluations_total"] = 0 }, "recovered server srb_reevaluations_total"},
+		{"recovered updates restarted", func(r *Report) {
+			r.Server.Families["srb_updates_total"], r.Recovered.Families["srb_updates_total"] = 1000, 1
+		}, "want >= the first life's 1000"},
 		{"no journal replay", func(r *Report) { r.Recovered.Families["srb_server_replay_entries"] = 0 }, "srb_server_replay_entries"},
 		{"no reconnects", func(r *Report) { r.Recovered.Families["srb_server_reconnects_total"] = 0 }, "srb_server_reconnects_total"},
 		{"no region re-push", func(r *Report) { r.Recovered.Families["srb_server_region_repush_total"] = 0 }, "srb_server_region_repush_total"},

@@ -322,22 +322,29 @@ func (r *Report) validateServer() error {
 	if r.Recovered == nil {
 		return fmt.Errorf("load: recovery drill ran but the recovered server was not scraped")
 	}
-	return r.Recovered.validateRecovered(s.StatsBatch)
+	return r.Recovered.validateRecovered(s)
 }
 
-// validateRecovered judges the recovered life's evidence. batch reports
-// whether the first life ran the batch pipeline: the batch families and the
-// /stats batch section are required exactly when it did, so a sequential
-// server (-workers 0) drills too, but a restart that lost the pipeline fails.
-func (a *ServerEvidence) validateRecovered(batch bool) error {
-	for _, name := range []string{"srb_updates_total", "srb_reevaluations_total",
-		"srb_server_replay_entries", "srb_server_reconnects_total", "srb_server_region_repush_total"} {
+// validateRecovered judges the recovered life's evidence against first, the
+// first life's at the end of the ramp. The work counters continue from the
+// snapshot, so each must reach first's value: one below it lost history. The
+// batch families and the /stats batch section are required exactly when
+// first ran the batch pipeline, so a sequential server (-workers 0) drills
+// too, but a restart that lost the pipeline fails.
+func (a *ServerEvidence) validateRecovered(first *ServerEvidence) error {
+	for _, name := range []string{"srb_updates_total", "srb_reevaluations_total"} {
+		if a.Families[name] < first.Families[name] {
+			return fmt.Errorf("load: recovered server %s = %g, want >= the first life's %g",
+				name, a.Families[name], first.Families[name])
+		}
+	}
+	for _, name := range []string{"srb_server_replay_entries", "srb_server_reconnects_total", "srb_server_region_repush_total"} {
 		if a.Families[name] <= 0 {
 			return fmt.Errorf("load: recovered server %s = %g, want > 0", name, a.Families[name])
 		}
 	}
 	for _, name := range ServerFamilies {
-		if _, ok := a.Families[name]; !ok && (batch || !strings.HasPrefix(name, "srb_batch_")) {
+		if _, ok := a.Families[name]; !ok && (first.StatsBatch || !strings.HasPrefix(name, "srb_batch_")) {
 			return fmt.Errorf("load: recovered server serves no %s samples", name)
 		}
 	}
@@ -347,7 +354,7 @@ func (a *ServerEvidence) validateRecovered(batch bool) error {
 	if a.RetiredQueries == 0 {
 		return fmt.Errorf("load: recovered server's /queries retired no ledger entries")
 	}
-	if batch && !a.StatsBatch {
+	if first.StatsBatch && !a.StatsBatch {
 		return fmt.Errorf("load: recovered server's /stats has no batch section")
 	}
 	if a.FlightEvents == 0 {

@@ -189,6 +189,41 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 	r.Gauge("srb_conflict", "h")
 }
 
+// TestRegistryFuncConflictPanics pins that one series cannot be both a
+// stateful instrument and a function, in either order, while re-registering
+// a function over a function still rebinds it.
+func TestRegistryFuncConflictPanics(t *testing.T) {
+	mustPanic := func(what string, register func(r *Registry)) {
+		t.Helper()
+		r := NewRegistry()
+		r.CounterFunc("srb_fn_total", "h", func() int64 { return 1 }, "k", "v")
+		r.GaugeFunc("srb_fn", "h", func() float64 { return 1 }, "k", "v")
+		r.Counter("srb_held_total", "h", "k", "v")
+		r.Gauge("srb_held", "h", "k", "v")
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", what)
+			}
+		}()
+		register(r)
+	}
+	mustPanic("Counter over CounterFunc", func(r *Registry) { r.Counter("srb_fn_total", "h", "k", "v") })
+	mustPanic("Gauge over GaugeFunc", func(r *Registry) { r.Gauge("srb_fn", "h", "k", "v") })
+	mustPanic("CounterFunc over Counter", func(r *Registry) {
+		r.CounterFunc("srb_held_total", "h", func() int64 { return 2 }, "k", "v")
+	})
+	mustPanic("GaugeFunc over Gauge", func(r *Registry) {
+		r.GaugeFunc("srb_held", "h", func() float64 { return 2 }, "k", "v")
+	})
+
+	// Other label sets of the same family stay free to choose either form.
+	r := NewRegistry()
+	r.CounterFunc("srb_fn_total", "h", func() int64 { return 1 }, "k", "v")
+	if c := r.Counter("srb_fn_total", "h", "k", "w"); c == nil {
+		t.Fatal("Counter on a fresh series of a func family returned nil")
+	}
+}
+
 func TestExpvarSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("srb_ev_total", "h").Add(9)

@@ -255,6 +255,13 @@ func (r *Registry) lookup(name, help, typ, labels string) (*family, *series, boo
 	return f, s, false
 }
 
+// panicMixed reports a series registered both as a stateful instrument and
+// as a function: the stateful caller would get a nil instrument that reads 0
+// and drops every update, or would keep one that is no longer rendered.
+func panicMixed(name, typ string) {
+	panic(fmt.Sprintf("obs: %s registered as a %s and a %s func", name, typ, typ))
+}
+
 // Counter registers (or returns the existing) counter name with optional
 // "key", "value" label pairs.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
@@ -267,6 +274,8 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if !ok {
 		s.c = &Counter{}
 		s.cf = s.c.Value
+	} else if s.c == nil {
+		panicMixed(name, typeCounter)
 	}
 	return s.c
 }
@@ -274,6 +283,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 // CounterFunc registers a counter read from fn at exposition time, for a
 // count its component already keeps; it renders like Counter. fn has
 // GaugeFunc's contract, and re-registering the same name+labels replaces it.
+// Mixing it with Counter on one series panics, in either order.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...string) {
 	if r == nil {
 		return
@@ -281,7 +291,9 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...str
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	_, s, _ := r.lookup(name, help, typeCounter, labelString(labels))
-	s.c = nil
+	if s.c != nil {
+		panicMixed(name, typeCounter)
+	}
 	s.cf = fn
 }
 
@@ -296,6 +308,8 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if !ok {
 		s.g = &Gauge{}
 		s.gf = s.g.Value
+	} else if s.g == nil {
+		panicMixed(name, typeGauge)
 	}
 	return s.g
 }
@@ -303,7 +317,8 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // GaugeFunc registers a gauge evaluated at exposition time. fn must be safe
 // to call from any goroutine and cheap (it runs under the registry lock).
 // Re-registering the same name+labels replaces the function, so a restarted
-// component can rebind its live state.
+// component can rebind its live state. Mixing it with Gauge on one series
+// panics, in either order.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	if r == nil {
 		return
@@ -311,7 +326,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	_, s, _ := r.lookup(name, help, typeGauge, labelString(labels))
-	s.g = nil
+	if s.g != nil {
+		panicMixed(name, typeGauge)
+	}
 	s.gf = fn
 }
 
