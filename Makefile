@@ -25,7 +25,7 @@ fmt:
 # (floatcmp, lockreentry, sliceescape, bareGoroutine, missingdoc) plus the
 # flow-sensitive v2 suite (lockorder, errdrop, ctxdeadline), the
 # interprocedural v3 suite (maporder, wallclock, allochot) and the v4
-# contract suite (chanlife, goroleak, protodrift, atomicmix). Fails on any
+# contract suite (chanlife, protodrift, atomicmix). Fails on any
 # unsuppressed finding; known hot-path allocation sites are accepted through
 # lint/allochot.baseline.
 lint:
@@ -34,10 +34,9 @@ lint:
 # Only the interprocedural and contract suites: fails on any
 # maporder/wallclock finding, on allochot sites not in the
 # checked-in baseline (the allocation ratchet), and on any
-# chanlife/goroleak/protodrift/atomicmix concurrency- or wire-contract
-# violation.
+# chanlife/protodrift/atomicmix concurrency- or wire-contract violation.
 lint-ipa:
-	$(GO) run ./cmd/srb-lint -checks maporder,wallclock,allochot,chanlife,goroleak,protodrift,atomicmix -baseline lint/allochot.baseline ./...
+	$(GO) run ./cmd/srb-lint -checks maporder,wallclock,allochot,chanlife,protodrift,atomicmix -baseline lint/allochot.baseline ./...
 
 # Regenerate the accepted hot-path allocation inventory after intentional
 # changes; the output is deterministic, so the diff shows exactly the sites
@@ -45,8 +44,12 @@ lint-ipa:
 lint-baseline:
 	$(GO) run ./cmd/srb-lint -checks allochot -write-baseline lint/allochot.baseline ./...
 
+# A goroutine that cannot stop hangs the test that joins it, so a per-package
+# timeout is how a stuck goroutine gets reported. Slowest package on a 2-vCPU
+# Xeon: 10 s plain, 77 s under -race; each bound leaves over 5x headroom
+# instead of the 10-minute default.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 2m ./...
 
 # The benchmark (bench/, BENCHMARK.json) is a module of its own, so `go
 # build ./...` and `go test ./...` never compile it; this keeps bench/sut.go
@@ -91,7 +94,7 @@ bench-counts:
 	echo "bench-counts: every workload matches BENCH_COUNTS.json"
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 7m ./...
 
 # Self-checking build: every mutating Monitor operation asserts the full
 # invariant suite, the R*-tree's included (srbdebug build tag), across every

@@ -14,12 +14,10 @@
 // checked-in baseline) — and the v4 contract checks combining the call graph,
 // the CFG engine and the type checker's constant information: chanlife
 // (channel lifecycle: sends with no receiver, receive-side or unguarded
-// double closes, blocking channel operations under a mutex), goroleak
-// (goroutines in cmd/, internal/remote and internal/parallel whose infinite
-// loops have no channel/context/error-gated exit), protodrift (wire and
-// journal protocol constants unhandled in dispatch switches or never
-// produced) and atomicmix (fields accessed both via sync/atomic and plain
-// loads/stores).
+// double closes, blocking channel operations under a mutex), protodrift
+// (wire and journal protocol constants unhandled in dispatch switches or
+// never produced) and atomicmix (fields accessed both via sync/atomic and
+// plain loads/stores).
 //
 // Usage:
 //

@@ -134,7 +134,7 @@ func main() {
 		}()
 	}
 
-	go func() { //lint:allow goroleak signal handler: exits on interrupt, lives for the process otherwise
+	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				log.Printf("signal handler panicked: %v", r)

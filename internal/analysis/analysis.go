@@ -24,13 +24,11 @@
 // combining the call graph, the CFG engine and the type checker's constant
 // information: channel lifecycle — sends without receivers, receive-side or
 // double closes, blocking channel operations under a mutex (chanlife);
-// goroutine termination — infinite loops in the long-running surfaces with no
-// channel/context/error-gated exit (goroleak); protocol exhaustiveness — wire
-// and journal string constants unhandled in dispatch switches or never
-// produced (protodrift); and atomic/plain access mixing on the same field
-// (atomicmix). See the individual files for the rules, DESIGN.md §8 for the
-// dataflow engine, §12 for the interprocedural layer and §13 for the contract
-// checks.
+// protocol exhaustiveness — wire and journal string constants unhandled in
+// dispatch switches or never produced (protodrift); and atomic/plain access
+// mixing on the same field (atomicmix). See the individual files for the
+// rules, DESIGN.md §8 for the dataflow engine, §12 for the interprocedural
+// layer and §13 for the contract checks.
 //
 // # Suppressions
 //
@@ -122,7 +120,7 @@ func All() []*Analyzer {
 	return []*Analyzer{FloatCmp, LockReentry, SliceEscape, BareGoroutine,
 		MissingDoc, LockOrder, ErrDrop, CtxDeadline,
 		MapOrder, WallClock, AllocHot,
-		ChanLife, GoroLeak, ProtoDrift, AtomicMix}
+		ChanLife, ProtoDrift, AtomicMix}
 }
 
 // ByName resolves a comma-separated analyzer list; empty selects all.

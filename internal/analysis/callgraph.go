@@ -1,8 +1,7 @@
 package analysis
 
 // callgraph.go builds the module-wide static call graph underlying the
-// interprocedural (v3) analyzers maporder, wallclock and allochot, and the
-// contract check goroleak.
+// interprocedural (v3) analyzers maporder, wallclock and allochot.
 //
 // Nodes are function and method declarations of the analyzed packages,
 // identified by the same cross-package-stable funcID strings the lockorder

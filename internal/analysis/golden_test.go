@@ -51,7 +51,7 @@ func TestRepoIsClean(t *testing.T) {
 	if got, want := strings.Join(names, " "), "floatcmp lockreentry sliceescape bareGoroutine "+
 		"missingdoc lockorder errdrop ctxdeadline "+
 		"maporder wallclock allochot "+
-		"chanlife goroleak protodrift atomicmix"; got != want {
+		"chanlife protodrift atomicmix"; got != want {
 		t.Fatalf("All() = %s\nwant      %s", got, want)
 	}
 	diags := Run(all, All())
@@ -108,12 +108,11 @@ func TestRepoIsClean(t *testing.T) {
 		t.Error("expected baseline-suppressed allochot findings on the hot-path allocation inventory")
 	}
 	// The v4 triage annotated the contract checks' deliberate exceptions: the
-	// reconnect-era receive-side close of the round-trip waiters (chanlife),
-	// the counter-gated parallel workers and the event loop's bounded
-	// worklist drain (goroleak), and the dispatch switches whose missing
-	// kinds are consumed earlier on the frame path (protodrift). A zero count
-	// means that contract check is not running.
-	for _, check := range []string{"chanlife", "goroleak", "protodrift"} {
+	// reconnect-era receive-side close of the round-trip waiters (chanlife)
+	// and the dispatch switches whose missing kinds are consumed earlier on
+	// the frame path (protodrift). A zero count means that contract check is
+	// not running.
+	for _, check := range []string{"chanlife", "protodrift"} {
 		if suppressedByCheck[check] == 0 {
 			t.Errorf("expected suppressed %s findings on the annotated contract-exception sites", check)
 		}

@@ -60,7 +60,7 @@ type ipa struct {
 	allow     map[allowKey]map[string]bool
 }
 
-// ipaCache memoizes the interprocedural state per package set, so the four
+// ipaCache memoizes the interprocedural state per package set, so the three
 // analyzers sharing it within one Run build the call graph once. Run drives
 // analyzers sequentially, so a single slot without locking suffices.
 var ipaCache struct {

@@ -155,9 +155,7 @@ func (p *Pipeline) ApplyEachCtx(batch []Update, before func(i int), emit func(i 
 		var wg sync.WaitGroup
 		for w := 0; w < p.workers && w < n; w++ {
 			wg.Add(1)
-			// Counter-gated exit: the loop is bounded by n (each worker claims
-			// strictly increasing indices), which goroleak cannot prove.
-			go func() { //lint:allow goroleak exit is counter-gated and bounded by n; workers cannot outlive Run
+			go func() {
 				defer wg.Done()
 				for {
 					i := int(atomic.AddInt64(&next, 1)) - 1

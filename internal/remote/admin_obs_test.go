@@ -243,13 +243,15 @@ func TestRecoveredMetricsMatchStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	for i := 1; i <= 5; i++ {
-		c, err := DialClient(s.Addr(), uint64(i), geom.Pt(float64(i)*0.15, 0.5))
+	clients := make([]*MobileClient, 5)
+	for i := range clients {
+		c, err := DialClient(s.Addr(), uint64(i+1), geom.Pt(float64(i+1)*0.15, 0.5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		c.Tick(geom.Pt(float64(i)*0.15, 0.9))
+		c.Tick(geom.Pt(float64(i+1)*0.15, 0.9))
+		clients[i] = c
 	}
 	app, err := DialApp(s.Addr())
 	if err != nil {
@@ -267,6 +269,18 @@ func TestRecoveredMetricsMatchStats(t *testing.T) {
 		var st core.Stats
 		_ = s.do(func() { n, st = s.mon.NumObjects(), s.mon.Stats() })
 		return n == 5 && st.SourceUpdates >= 5
+	})
+	// A client whose first grant arrives after its Tick reports again, so
+	// more updates may still be in flight. Dropping the connections puts each
+	// session's detach behind its last update on the event loop; once all
+	// five leases are held, nothing more can reach the journal.
+	for _, c := range clients {
+		dropConn(c)
+	}
+	waitFor(t, "five leased sessions", func() bool {
+		var leased int
+		_ = s.do(func() { leased = len(s.leases) })
+		return leased == 5
 	})
 	var snapErr error
 	if err := s.do(func() { snapErr = s.snapshotNow() }); err != nil {

@@ -438,6 +438,7 @@ type AppClient struct {
 	dropped     int64        // result pushes discarded on backpressure
 	lastDropLog time.Time    // throttles the drop warning
 	obsDropped  *obs.Counter // nil-safe mirror of dropped
+	readDone    chan struct{}
 }
 
 // dropLogEvery throttles the backpressure warning: losing result pushes is
@@ -465,15 +466,16 @@ func DialAppOpts(addr string, opts AppOptions) (*AppClient, error) {
 	}
 	opts = opts.withDefaults()
 	a := &AppClient{
-		addr:    addr,
-		opts:    opts,
-		rng:     rand.New(rand.NewSource(opts.Seed)),
-		conn:    conn,
-		codec:   wire.NewCodec(conn),
-		logf:    log.Printf,
-		pending: make(map[uint64]chan wire.Message),
-		specs:   make(map[uint64]wire.Message),
-		updates: make(chan ResultUpdate, 256),
+		addr:     addr,
+		opts:     opts,
+		rng:      rand.New(rand.NewSource(opts.Seed)),
+		conn:     conn,
+		codec:    wire.NewCodec(conn),
+		logf:     log.Printf,
+		pending:  make(map[uint64]chan wire.Message),
+		specs:    make(map[uint64]wire.Message),
+		updates:  make(chan ResultUpdate, 256),
+		readDone: make(chan struct{}),
 	}
 	go a.readLoop()
 	return a, nil
@@ -527,6 +529,7 @@ func (a *AppClient) noteDrop(qid uint64) {
 }
 
 func (a *AppClient) readLoop() {
+	defer close(a.readDone)
 	defer close(a.updates)
 	defer a.failPending()
 	for {
@@ -568,8 +571,9 @@ func (a *AppClient) readLoop() {
 
 // Updates streams result changes for all queries registered on this handle.
 // The channel closes when the connection drops — or, with Reconnect, when the
-// handle is closed or the dial budget is exhausted. After a reconnect the
-// fresh registrations' initial results arrive on this channel too.
+// dial budget is exhausted — and is closed by the time Close returns. After a
+// reconnect the fresh registrations' initial results arrive on this channel
+// too.
 func (a *AppClient) Updates() <-chan ResultUpdate { return a.updates }
 
 // reconnect re-dials the server with jittered exponential backoff and
@@ -805,11 +809,15 @@ func (a *AppClient) codecSend(m wire.Message) error {
 	return a.codec.Send(m)
 }
 
-// Close tears down the connection; the server deregisters this handle's
+// Close tears down the connection and waits for the read loop to exit, so
+// Updates is closed when it returns; the server deregisters this handle's
 // queries.
 func (a *AppClient) Close() error {
 	a.mu.Lock()
 	a.closed = true
+	conn := a.conn
 	a.mu.Unlock()
-	return a.conn.Close()
+	err := conn.Close()
+	<-a.readDone
+	return err
 }

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -616,6 +618,27 @@ func TestChaosDifferential(t *testing.T) {
 	rec := recoverInto(t, dir)
 	if !bytes.Equal(live, rec) {
 		t.Fatalf("recovered state differs from live state after chaos (%d vs %d snapshot bytes)", len(live), len(rec))
+	}
+}
+
+// TestCloseDuringPeriodicSnapshots closes a server whose event loop is
+// re-arming the snapshot timer every millisecond. The loop is the timer's
+// only writer after Serve starts, so Close must not touch it; under -race a
+// Close that stops the timer itself reports the unsynchronized access.
+func TestCloseDuringPeriodicSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	s := startServerCfg(t, func(s *Server) {
+		if err := s.SetPersist(dir, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	})
+	waitFor(t, "periodic snapshot written", func() bool {
+		_, err := os.Stat(filepath.Join(dir, snapshotFile))
+		return err == nil
+	})
+	time.Sleep(50 * time.Millisecond)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

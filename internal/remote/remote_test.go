@@ -210,6 +210,32 @@ func TestAppDisconnectDeregisters(t *testing.T) {
 	})
 }
 
+// TestAppClientCloseJoinsReadLoop pins that AppClient.Close returns only
+// after its read loop has exited, as MobileClient.Close does: right after
+// Close the Updates channel must already be closed, so a consumer ranging
+// over it ends and no goroutine of the handle outlives it.
+func TestAppClientCloseJoinsReadLoop(t *testing.T) {
+	s := startServer(t)
+	for round := 0; round < 20; round++ {
+		app, err := DialApp(s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		app.SetLogf(nil)
+		if err := app.Close(); err != nil {
+			t.Fatalf("round %d: Close: %v", round, err)
+		}
+		select {
+		case _, ok := <-app.Updates():
+			if ok {
+				t.Fatalf("round %d: Updates delivered a result after Close", round)
+			}
+		default:
+			t.Fatalf("round %d: Updates still open after Close returned: the read loop outlived Close", round)
+		}
+	}
+}
+
 func TestClientDisconnectRemovesObject(t *testing.T) {
 	s := startServer(t)
 	c, err := DialClient(s.Addr(), 9, geom.Pt(0.2, 0.2))

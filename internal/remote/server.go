@@ -241,11 +241,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // non-nil error (net.ErrClosed after a clean shutdown).
 func (s *Server) Serve() error {
 	s.wg.Add(1)
-	// The event loop's only data-bounded loop is settleProbes' worklist drain
-	// (processed grows monotonically over a finite ID set), which goroleak's
-	// gate classifier cannot prove terminating; the loop itself exits on
-	// <-s.done.
-	go s.loop() //lint:allow goroleak settleProbes is a bounded worklist drain, not a shutdown hazard
+	go s.loop()
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
@@ -254,7 +250,7 @@ func (s *Server) Serve() error {
 			return err
 		}
 		s.wg.Add(1)
-		go s.handle(conn) //lint:allow goroleak reaches settleProbes via probe enqueue; same bounded worklist drain as the event loop
+		go s.handle(conn)
 	}
 }
 
@@ -262,13 +258,11 @@ func (s *Server) Serve() error {
 func (s *Server) Close() error {
 	err := s.ln.Close()
 	s.closeOnce.Do(func() { close(s.done) })
-	if s.persist != nil && s.persist.timer != nil {
-		s.persist.timer.Stop()
-	}
 	return err
 }
 
-// loop serializes all monitor operations.
+// loop serializes all monitor operations. It is the snapshot timer's only
+// writer once Serve runs, so it also stops the timer on shutdown.
 func (s *Server) loop() {
 	defer s.wg.Done()
 	for {
@@ -277,6 +271,9 @@ func (s *Server) loop() {
 			s.mon.SetTime(s.timeBase + time.Since(s.start).Seconds())
 			s.dispatch(r)
 		case <-s.done:
+			if s.persist != nil && s.persist.timer != nil {
+				s.persist.timer.Stop()
+			}
 			return
 		}
 	}
