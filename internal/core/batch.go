@@ -74,7 +74,7 @@ func (m *Monitor) PlanUpdate(id uint64, p geom.Point) (PlannedUpdate, bool) {
 	if len(m.resultOf[id]) != 0 {
 		return PlannedUpdate{}, false // member updates reevaluate their queries
 	}
-	if len(m.grid.Affected(st.lastLoc, p)) != 0 {
+	if m.grid.AnyAffected(st.lastLoc, p) {
 		return PlannedUpdate{}, false // movement touches a quarantine area
 	}
 	relevant, cell := m.relevantQueriesAt(p)
@@ -109,7 +109,7 @@ func (m *Monitor) ApplyPlanned(pl *PlannedUpdate) ([]SafeRegionUpdate, bool) {
 	if !ok || st.lastLoc != pl.oldLoc || len(m.resultOf[pl.id]) != 0 {
 		return nil, false
 	}
-	if len(m.grid.Affected(st.lastLoc, pl.loc)) != 0 {
+	if m.grid.AnyAffected(st.lastLoc, pl.loc) {
 		return nil, false
 	}
 	relevant, cell := m.relevantQueriesAt(pl.loc)

@@ -383,7 +383,8 @@ func (m *Monitor) refreshProbedAgainst(q *query.Query) []SafeRegionUpdate {
 	// freshly registered query q itself was just evaluated on exact points.
 	m.settleProbes(nil, q)
 	var out []SafeRegionUpdate
-	for _, pid := range m.sortedProbedIDs() {
+	m.ids = m.appendProbedIDs(m.ids[:0])
+	for _, pid := range m.ids {
 		loc := m.probedNow[pid]
 		st := m.objects[pid]
 		cell := m.grid.NeighborhoodRect(loc, m.opt.CellNeighborhood)
@@ -392,9 +393,8 @@ func (m *Monitor) refreshProbedAgainst(q *query.Query) []SafeRegionUpdate {
 		m.tree.Update(pid, st.safe)
 		out = append(out, SafeRegionUpdate{Object: pid, Region: st.safe, Probed: true})
 	}
-	out = append(out, m.flushShrunk(nil)...)
-	m.probedNow = make(map[uint64]geom.Point)
-	m.probedFrom = make(map[uint64]geom.Point)
+	out = m.appendShrunk(out, nil)
+	m.endOp()
 	return out
 }
 

@@ -13,10 +13,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"time"
 
 	"srb/internal/geom"
@@ -172,6 +172,20 @@ type Monitor struct {
 	held   []pqItem
 	seeded []uint64
 
+	// Per-operation scratch of the serial path, reused by every op so that a
+	// steady-state Update allocates only the slice it returns. None of it
+	// may be touched by PlanUpdate, which runs on many goroutines at once.
+	// affected holds the current grid lookup, ids the sorted object IDs being
+	// walked (settleProbes, finishOp), qids the sorted query IDs being
+	// repaired (reevalResultQueries, RemoveObject), settled the objects
+	// settleProbes has handled, and before reevaluate's copy of the result
+	// list (reevaluate never re-enters itself).
+	affected []*query.Query
+	ids      []uint64
+	qids     []query.ID
+	settled  map[uint64]bool
+	before   []uint64
+
 	// mobs holds the bound observability instruments (obs.go); nil when
 	// uninstrumented, which keeps every hook to a single branch.
 	mobs *monObs
@@ -209,6 +223,7 @@ func New(opt Options, prober Prober, onUpdate func(ResultUpdate)) *Monitor {
 		probedNow:  make(map[uint64]geom.Point),
 		probedFrom: make(map[uint64]geom.Point),
 		shrunkNow:  make(map[uint64]bool),
+		settled:    make(map[uint64]bool),
 	}
 }
 
@@ -317,7 +332,15 @@ func (m *Monitor) RemoveObject(id uint64) []SafeRegionUpdate {
 	m.beginOp()
 	m.tree.Delete(id)
 	delete(m.objects, id)
-	for _, qid := range m.sortedQueryIDs() {
+	// Only the queries holding id need repair, and resultOf lists exactly
+	// those. The repairs delete from that set, so walk a sorted copy.
+	qids := m.qids[:0]
+	for qid := range m.resultOf[id] {
+		qids = append(qids, qid)
+	}
+	slices.Sort(qids)
+	m.qids = qids
+	for _, qid := range qids {
 		q := m.queries[qid]
 		if !q.InResult[id] {
 			continue
@@ -354,12 +377,8 @@ func (m *Monitor) sortedQueryIDs() []query.ID {
 	for id := range m.queries {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
-}
-
-func (m *Monitor) sortedProbedIDs() []uint64 {
-	return m.appendProbedIDs(make([]uint64, 0, len(m.probedNow)))
 }
 
 // appendProbedIDs appends the IDs probed in this operation to dst in
@@ -373,17 +392,33 @@ func (m *Monitor) appendProbedIDs(dst []uint64) []uint64 {
 	return dst
 }
 
+// maxKeptOpSet bounds the per-op maps the monitor keeps between operations.
+// Clearing a map costs time in its capacity, not its length, so a map that
+// one large operation (a registration probing hundreds of objects) grew past
+// this is dropped rather than cleared on every later op.
+const maxKeptOpSet = 256
+
+// emptied returns mp emptied for reuse by the next operation.
+func emptied[K comparable, V any](mp map[K]V) map[K]V {
+	if len(mp) > maxKeptOpSet {
+		return make(map[K]V) //lint:allow allochot rare: only after an op touched more than maxKeptOpSet objects
+	}
+	clear(mp)
+	return mp
+}
+
 // beginOp resets per-operation probe bookkeeping.
 func (m *Monitor) beginOp() {
-	if len(m.probedNow) != 0 {
-		m.probedNow = make(map[uint64]geom.Point)
-	}
-	if len(m.probedFrom) != 0 {
-		m.probedFrom = make(map[uint64]geom.Point)
-	}
-	if len(m.shrunkNow) != 0 {
-		m.shrunkNow = make(map[uint64]bool)
-	}
+	m.probedNow = emptied(m.probedNow)
+	m.probedFrom = emptied(m.probedFrom)
+	m.shrunkNow = emptied(m.shrunkNow)
+}
+
+// endOp drains the probe bookkeeping once an operation has pushed every
+// refreshed region.
+func (m *Monitor) endOp() {
+	m.probedNow = emptied(m.probedNow)
+	m.probedFrom = emptied(m.probedFrom)
 }
 
 // settleProbes treats each probe as the location update it is: the probed
@@ -393,71 +428,98 @@ func (m *Monitor) beginOp() {
 // objects, so the loop drains until quiescent. skip excludes a query whose
 // own evaluation is still in progress.
 func (m *Monitor) settleProbes(primary *objectState, skip *query.Query) {
-	processed := map[uint64]bool{}
+	if len(m.probedFrom) == 0 {
+		return // nothing was probed: no movement to settle
+	}
+	m.settled = emptied(m.settled)
 	if primary != nil {
-		processed[primary.id] = true
+		m.settled[primary.id] = true
 	}
 	for {
-		var todo []uint64
-		for _, id := range m.sortedProbedIDs() {
-			if !processed[id] {
+		// Every probe records probedFrom; the updating object itself is in
+		// probedNow only, and has no movement to settle here.
+		todo := m.ids[:0]
+		for id := range m.probedFrom {
+			if !m.settled[id] {
 				todo = append(todo, id)
 			}
 		}
+		slices.Sort(todo)
+		m.ids = todo
 		if len(todo) == 0 {
 			return
 		}
 		for _, id := range todo {
-			processed[id] = true
+			m.settled[id] = true
 			st := m.objects[id]
 			if st == nil {
 				continue
 			}
-			from, ok := m.probedFrom[id]
-			if !ok {
-				continue
-			}
-			seen := map[query.ID]bool{}
-			if skip != nil {
-				seen[skip.ID] = true
-			}
-			for _, q := range m.grid.Affected(from, st.lastLoc) {
-				if seen[q.ID] {
-					continue
-				}
-				seen[q.ID] = true
-				m.reevaluate(q, st, from)
-			}
-			if set := m.resultOf[id]; len(set) > 0 {
-				var qids []query.ID
-				for qid := range set {
-					if !seen[qid] {
-						qids = append(qids, qid)
-					}
-				}
-				sort.Slice(qids, func(i, j int) bool { return qids[i] < qids[j] })
-				for _, qid := range qids {
-					if q := m.queries[qid]; q != nil {
-						m.reevaluate(q, st, from)
-					}
+			from := m.probedFrom[id]
+			m.affected = m.grid.AppendAffected(m.affected[:0], from, st.lastLoc)
+			for _, q := range m.affected {
+				if q != skip {
+					m.reevaluate(q, st, from)
 				}
 			}
+			m.reevalResultQueries(st, from, skip)
 		}
 	}
 }
 
+// reevalResultQueries reevaluates, in ascending ID order, every query st is
+// currently a result of that neither the grid lookup in m.affected nor skip
+// covered: a result can sit outside a quarantine circle that shrank after its
+// safe region was granted, where the quarantine test misses it.
+func (m *Monitor) reevalResultQueries(st *objectState, pLst geom.Point, skip *query.Query) {
+	set := m.resultOf[st.id]
+	if len(set) == 0 {
+		return
+	}
+	qids := m.qids[:0]
+	for qid := range set {
+		if skip != nil && qid == skip.ID {
+			continue
+		}
+		if _, done := slices.BinarySearchFunc(m.affected, qid, byQueryID); !done {
+			qids = append(qids, qid)
+		}
+	}
+	slices.Sort(qids)
+	m.qids = qids
+	for _, qid := range qids {
+		if q := m.queries[qid]; q != nil {
+			m.reevaluate(q, st, pLst)
+		}
+	}
+}
+
+// byQueryID orders a query against a query ID, for searching ID-sorted lists.
+func byQueryID(q *query.Query, id query.ID) int { return cmp.Compare(q.ID, id) }
+
 // finishOp recomputes the safe region of the primary object st (when non-nil)
 // and of every object probed during the operation, mirroring steps 4-5 of
-// Figure 3.1, and returns the refreshed regions.
+// Figure 3.1, and returns the refreshed regions: the only allocation a
+// steady-state operation makes.
 func (m *Monitor) finishOp(st *objectState) []SafeRegionUpdate {
 	m.settleProbes(st, nil)
+	n := len(m.probedNow) + len(m.shrunkNow)
+	if st != nil {
+		if _, probed := m.probedNow[st.id]; !probed {
+			n++
+		}
+	}
 	var out []SafeRegionUpdate
+	if n > 0 {
+		out = make([]SafeRegionUpdate, 0, n)
+	}
 	if st != nil {
 		m.recomputeSafeRegion(st)
 		out = append(out, SafeRegionUpdate{Object: st.id, Region: st.safe})
 		m.noteGrant(st.id)
 	}
-	for _, pid := range m.sortedProbedIDs() {
+	m.ids = m.appendProbedIDs(m.ids[:0])
+	for _, pid := range m.ids {
 		if st != nil && pid == st.id {
 			continue
 		}
@@ -469,21 +531,21 @@ func (m *Monitor) finishOp(st *objectState) []SafeRegionUpdate {
 		out = append(out, SafeRegionUpdate{Object: pid, Region: pst.safe, Probed: true})
 		m.noteGrant(pid)
 	}
-	out = append(out, m.flushShrunk(st)...)
-	m.probedNow = make(map[uint64]geom.Point)
-	m.probedFrom = make(map[uint64]geom.Point)
+	out = m.appendShrunk(out, st)
+	m.endOp()
 	return out
 }
 
-// flushShrunk emits the safe regions shrunk by virtual probes (reachability
-// circle, Section 6.1) that were not superseded by a real probe or by the
-// primary object's recompute. The push keeps the client protocol exact: the
-// client resumes reporting against the shrunken region.
-func (m *Monitor) flushShrunk(st *objectState) []SafeRegionUpdate {
+// appendShrunk appends the safe regions shrunk by virtual probes
+// (reachability circle, Section 6.1) that were not superseded by a real probe
+// or by the primary object's recompute, and empties shrunkNow. The push keeps
+// the client protocol exact: the client resumes reporting against the
+// shrunken region.
+func (m *Monitor) appendShrunk(out []SafeRegionUpdate, st *objectState) []SafeRegionUpdate {
 	if len(m.shrunkNow) == 0 {
-		return nil
+		return out
 	}
-	ids := make([]uint64, 0, len(m.shrunkNow))
+	ids := m.ids[:0]
 	for id := range m.shrunkNow {
 		if _, probed := m.probedNow[id]; probed {
 			continue // a real probe already triggered a full refresh
@@ -496,13 +558,13 @@ func (m *Monitor) flushShrunk(st *objectState) []SafeRegionUpdate {
 		}
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]SafeRegionUpdate, 0, len(ids))
+	slices.Sort(ids)
+	m.ids = ids
 	for _, id := range ids {
 		out = append(out, SafeRegionUpdate{Object: id, Region: m.objects[id].safe, Probed: true})
 		m.noteGrant(id)
 	}
-	m.shrunkNow = make(map[uint64]bool)
+	m.shrunkNow = emptied(m.shrunkNow)
 	return out
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"srb/internal/geom"
@@ -45,28 +44,11 @@ func (m *Monitor) Update(id uint64, p geom.Point) []SafeRegionUpdate {
 	m.probedNow[id] = p
 	st.safe = geom.RectAround(p)
 	m.tree.Update(id, st.safe)
-	processed := make(map[query.ID]bool)
-	for _, q := range m.grid.Affected(pLst, p) {
-		processed[q.ID] = true
+	m.affected = m.grid.AppendAffected(m.affected[:0], pLst, p)
+	for _, q := range m.affected {
 		m.reevaluate(q, st, pLst)
 	}
-	// Queries the object is currently a result of must be reevaluated even
-	// when the quarantine test misses them (a result can sit outside a
-	// quarantine circle that shrank after its safe region was granted).
-	if set := m.resultOf[id]; len(set) > 0 {
-		ids := make([]query.ID, 0, len(set))
-		for qid := range set {
-			if !processed[qid] {
-				ids = append(ids, qid)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, qid := range ids {
-			if q := m.queries[qid]; q != nil {
-				m.reevaluate(q, st, pLst)
-			}
-		}
-	}
+	m.reevalResultQueries(st, pLst, nil)
 	out := m.finishOp(st)
 	if m.mobs != nil {
 		m.mobs.done(m, obs.KindCoreUpdate, m.mobs.updSeconds, t0, before)
@@ -84,7 +66,7 @@ func (m *Monitor) reevaluate(q *query.Query, st *objectState, pLst geom.Point) {
 		m.mobs.lg.noteReeval(q)
 	}
 	m.stats.Reevaluations++
-	before := append([]uint64(nil), q.Results...)
+	m.before = append(m.before[:0], q.Results...)
 	switch q.Kind {
 	case query.KindRange:
 		m.reevalRange(q, st)
@@ -98,7 +80,7 @@ func (m *Monitor) reevaluate(q *query.Query, st *objectState, pLst geom.Point) {
 		}
 		m.grid.Update(q) // the quarantine circle may have changed
 	}
-	if !q.ResultEquals(before) {
+	if !q.ResultEquals(m.before) {
 		m.publish(q)
 	}
 	if m.mobs != nil {

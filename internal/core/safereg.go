@@ -50,7 +50,10 @@ func (m *Monitor) safeRegionFromRelevant(st *objectState, relevant []*query.Quer
 	p := st.lastLoc
 	obj := m.objective(st)
 	sr := cell
-	var obstacles []geom.Rect
+	// Stack scratch: this runs on the plan workers concurrently, so it cannot
+	// borrow a buffer from the Monitor. More obstacles spill to the heap.
+	var obsBuf [32]geom.Rect
+	obstacles := obsBuf[:0]
 	for _, q := range relevant {
 		switch q.Kind {
 		case query.KindRange:

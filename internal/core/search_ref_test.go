@@ -91,7 +91,7 @@ func (m *Monitor) refSeedSearch(pq *refPQ, qp geom.Point, exclude map[uint64]boo
 	if m.tree.Len() > 0 {
 		pq.push(pqItem{key: 0, node: m.tree.Root()})
 	}
-	for _, pid := range m.sortedProbedIDs() {
+	for _, pid := range m.appendProbedIDs(nil) {
 		if exclude[pid] {
 			continue
 		}

@@ -158,36 +158,50 @@ func (g *Grid) AtNeighborhood(p geom.Point, r int) []*query.Query {
 // buckets of pLst's and p's cells whose result may change for an object that
 // moved from pLst to p (Section 3.3).
 func (g *Grid) Affected(pLst, p geom.Point) []*query.Query {
+	return g.AppendAffected(nil, pLst, p)
+}
+
+// AppendAffected appends Affected(pLst, p) to dst and returns the extended
+// slice, so a caller that owns a scratch slice looks queries up without
+// allocating.
+func (g *Grid) AppendAffected(dst []*query.Query, pLst, p geom.Point) []*query.Query {
 	a := g.At(p)
 	b := g.At(pLst)
-	out := make([]*query.Query, 0, len(a)+len(b))
-	i, j := 0, 0
-	push := func(q *query.Query) {
-		if q.Affected(pLst, p) {
-			out = append(out, q)
-		}
-	}
-	for i < len(a) && j < len(b) {
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		var q *query.Query
 		switch {
-		case a[i].ID == b[j].ID:
-			push(a[i])
+		case j == len(b) || (i < len(a) && a[i].ID < b[j].ID):
+			q = a[i]
 			i++
+		case i == len(a) || b[j].ID < a[i].ID:
+			q = b[j]
 			j++
-		case a[i].ID < b[j].ID:
-			push(a[i])
+		default: // the same query in both buckets
+			q = a[i]
 			i++
-		default:
-			push(b[j])
 			j++
 		}
+		if q.Affected(pLst, p) {
+			dst = append(dst, q)
+		}
 	}
-	for ; i < len(a); i++ {
-		push(a[i])
+	return dst
+}
+
+// AnyAffected reports whether Affected(pLst, p) is non-empty, without
+// building the list.
+func (g *Grid) AnyAffected(pLst, p geom.Point) bool {
+	for _, q := range g.At(p) {
+		if q.Affected(pLst, p) {
+			return true
+		}
 	}
-	for ; j < len(b); j++ {
-		push(b[j])
+	for _, q := range g.At(pLst) {
+		if q.Affected(pLst, p) {
+			return true
+		}
 	}
-	return out
+	return false
 }
 
 func (g *Grid) forEachCell(bb geom.Rect, fn func(*bucket)) {

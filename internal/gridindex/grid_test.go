@@ -117,12 +117,25 @@ func TestAffectedDeduplicatesAndFilters(t *testing.T) {
 		}
 		t.Fatalf("affected = %v, want [1 2]", ids)
 	}
+	// AppendAffected keeps what dst already holds; AnyAffected agrees.
+	appended := g.AppendAffected([]*query.Query{r3}, pOld, pNew)
+	if len(appended) != 3 || appended[0] != r3 || appended[1] != r1 || appended[2] != r2 {
+		t.Fatalf("AppendAffected onto [3] returned %d queries, want [3 1 2]", len(appended))
+	}
+	if !g.AnyAffected(pOld, pNew) {
+		t.Fatal("AnyAffected = false for a move with two affected queries")
+	}
 	// Same-cell move: shared bucket must not duplicate results.
 	got = g.Affected(geom.Pt(0.28, 0.28), geom.Pt(0.32, 0.32))
 	for i := 1; i < len(got); i++ {
 		if got[i-1].ID == got[i].ID {
 			t.Fatal("duplicate in affected list")
 		}
+	}
+	// A move inside r3 that touches no other quarantine affects nothing.
+	from, to := geom.Pt(0.45, 0.5), geom.Pt(0.5, 0.45)
+	if g.AnyAffected(from, to) || len(g.Affected(from, to)) != 0 {
+		t.Fatal("a move inside r3 alone reported affected queries")
 	}
 }
 

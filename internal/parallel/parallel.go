@@ -18,8 +18,9 @@
 package parallel
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,7 +83,8 @@ func (p *Pipeline) Monitor() *core.Monitor { return p.mon }
 //
 //srb:hotpath
 func (p *Pipeline) Apply(batch []Update) []core.SafeRegionUpdate {
-	var out []core.SafeRegionUpdate
+	// Every update refreshes at least its own region (an empty batch stays nil).
+	out := slices.Grow([]core.SafeRegionUpdate(nil), len(batch))
 	p.ApplyEach(batch, func(_ int, ups []core.SafeRegionUpdate) {
 		out = append(out, ups...)
 	})
@@ -128,7 +130,7 @@ func (p *Pipeline) ApplyEachCtx(batch []Update, before func(i int), emit func(i 
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return batch[order[a]].ID < batch[order[b]].ID })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(batch[a].ID, batch[b].ID) })
 
 	// An object reporting several times in one batch is inherently
 	// order-dependent (each update's plan would start from the previous one's

@@ -7,6 +7,7 @@ package remote
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -639,6 +640,32 @@ func TestCloseDuringPeriodicSnapshots(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShutdownClosesJournal checks that a server's shutdown releases the
+// journal file SetPersist opened: every server life in one process would
+// otherwise leak a descriptor.
+func TestShutdownClosesJournal(t *testing.T) {
+	s, err := NewServer("127.0.0.1:0", core.Options{GridM: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetLogf(nil)
+	if err := s.SetPersist(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = s.Serve()
+	}()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-served
+	if err := s.persist.file.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("journal file still open after shutdown: Close returned %v, want os.ErrClosed", err)
 	}
 }
 

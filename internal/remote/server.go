@@ -261,8 +261,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-// loop serializes all monitor operations. It is the snapshot timer's only
-// writer once Serve runs, so it also stops the timer on shutdown.
+// loop serializes all monitor operations. It is the snapshot timer's and
+// the journal's only writer once Serve runs, so on shutdown it also stops the
+// timer and closes the journal file.
 func (s *Server) loop() {
 	defer s.wg.Done()
 	for {
@@ -271,8 +272,13 @@ func (s *Server) loop() {
 			s.mon.SetTime(s.timeBase + time.Since(s.start).Seconds())
 			s.dispatch(r)
 		case <-s.done:
-			if s.persist != nil && s.persist.timer != nil {
-				s.persist.timer.Stop()
+			if p := s.persist; p != nil {
+				if p.timer != nil {
+					p.timer.Stop()
+				}
+				if err := p.file.Close(); err != nil {
+					s.logf("remote: close journal: %v", err)
+				}
 			}
 			return
 		}

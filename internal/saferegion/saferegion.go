@@ -7,7 +7,8 @@
 package saferegion
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"srb/internal/geom"
 )
@@ -38,6 +39,14 @@ var quadrants = [4][2]float64{
 	{-1, 1},  // NW
 }
 
+// stairScratch is the caller-owned backing store of one batch computation's
+// four staircases. It lives on the caller's stack, so a cell with at most
+// stairScratchLen steps per quadrant builds its staircases without touching
+// the heap; a longer staircase spills over through append.
+type stairScratch [4][stairScratchLen]staircasePoint
+
+const stairScratchLen = 16
+
 // maxExhaustiveCombos bounds the quartic search over staircase combinations;
 // beyond it the paper's greedy heuristic is used.
 const maxExhaustiveCombos = 4096
@@ -54,7 +63,8 @@ const maxExhaustiveCombos = 4096
 // (quarantine areas that contain p contribute their own rectangle and are
 // intersected by the caller separately).
 func ForRangeBatch(obstacles []geom.Rect, p geom.Point, cell geom.Rect, obj geom.Objective) geom.Rect {
-	stairs, cell, ok := prepareStairs(obstacles, p, cell)
+	var buf stairScratch
+	stairs, cell, ok := prepareStairs(&buf, obstacles, p, cell)
 	if !ok {
 		return cell
 	}
@@ -69,14 +79,16 @@ func ForRangeBatch(obstacles []geom.Rect, p geom.Point, cell geom.Rect, obj geom
 // staircase size. Exposed for the ablation benchmark comparing the greedy
 // against the exact combination search.
 func ForRangeBatchGreedy(obstacles []geom.Rect, p geom.Point, cell geom.Rect, obj geom.Objective) geom.Rect {
-	stairs, cell, ok := prepareStairs(obstacles, p, cell)
+	var buf stairScratch
+	stairs, cell, ok := prepareStairs(&buf, obstacles, p, cell)
 	if !ok {
 		return cell
 	}
 	return greedyUnion(stairs, p, cell, obj)
 }
 
-func prepareStairs(obstacles []geom.Rect, p geom.Point, cell geom.Rect) ([4][]staircasePoint, geom.Rect, bool) {
+// prepareStairs builds the four quadrant staircases into buf.
+func prepareStairs(buf *stairScratch, obstacles []geom.Rect, p geom.Point, cell geom.Rect) ([4][]staircasePoint, geom.Rect, bool) {
 	var stairs [4][]staircasePoint
 	if len(obstacles) == 0 {
 		return stairs, cell, false
@@ -93,7 +105,7 @@ func prepareStairs(obstacles []geom.Rect, p geom.Point, cell geom.Rect) ([4][]st
 		if s[1] < 0 {
 			h = p.Y - cell.MinY
 		}
-		stairs[qd] = buildStaircase(obstacles, p, s, w, h)
+		stairs[qd] = buildStaircase(buf[qd][:0], obstacles, p, s, w, h)
 	}
 	return stairs, cell, true
 }
@@ -175,76 +187,65 @@ func greedyUnion(stairs [4][]staircasePoint, p geom.Point, cell geom.Rect, obj g
 	return out.Intersect(cell)
 }
 
-// buildStaircase returns the maximal component-rectangle corners for one
-// quadrant. Coordinates are p-relative, reflected so the quadrant is the
-// first one; cw and ch bound the quadrant within the cell.
-func buildStaircase(obstacles []geom.Rect, p geom.Point, s [2]float64, cw, ch float64) []staircasePoint {
+// buildStaircase appends the maximal component-rectangle corners for one
+// quadrant to dst. Coordinates are p-relative, reflected so the quadrant is
+// the first one; cw and ch bound the quadrant within the cell.
+func buildStaircase(dst []staircasePoint, obstacles []geom.Rect, p geom.Point, s [2]float64, cw, ch float64) []staircasePoint {
 	if cw < 0 {
 		cw = 0
 	}
 	if ch < 0 {
 		ch = 0
 	}
-	type corner struct{ ax, ay float64 }
-	type span struct{ u1, u2, v1, v2 float64 }
-	spans := make([]span, 0, len(obstacles))
-	for _, o := range obstacles {
-		u1 := s[0] * (o.MinX - p.X)
-		u2 := s[0] * (o.MaxX - p.X)
-		if u1 > u2 {
-			u1, u2 = u2, u1
-		}
-		v1 := s[1] * (o.MinY - p.Y)
-		v2 := s[1] * (o.MaxY - p.Y)
-		if v1 > v2 {
-			v1, v2 = v2, v1
-		}
-		// Ignore obstacles that do not overlap the open quadrant region.
-		if u2 <= 0 || v2 <= 0 {
-			continue
-		}
-		spans = append(spans, span{u1, u2, v1, v2})
-	}
 	// Obstacles that straddle a quadrant axis strictly cannot be escaped on
 	// that axis (every rectangle around p overlaps their coordinate range
 	// there), so they impose a hard cap on the other axis instead of a
 	// staircase corner.
-	for _, sp := range spans {
-		strX := sp.u1 < 0
-		strY := sp.v1 < 0
+	for _, o := range obstacles {
+		u1, v1, ok := quadrantSpan(o, p, s)
+		if !ok {
+			continue
+		}
+		strX := u1 < 0
+		strY := v1 < 0
 		switch {
 		case strX && strY:
 			// p is strictly interior to the obstacle; callers guarantee this
 			// does not happen, but degrade gracefully to a degenerate region.
 			cw, ch = 0, 0
 		case strX:
-			ch = minf(ch, sp.v1)
+			ch = minf(ch, v1)
 		case strY:
-			cw = minf(cw, sp.u1)
+			cw = minf(cw, u1)
 		}
 	}
-	var cs []corner
-	for _, sp := range spans {
-		if sp.u1 < 0 || sp.v1 < 0 {
-			continue // handled as a cap above
+	type corner struct{ ax, ay float64 }
+	var csBuf [32]corner
+	cs := csBuf[:0]
+	for _, o := range obstacles {
+		u1, v1, ok := quadrantSpan(o, p, s)
+		if !ok || u1 < 0 || v1 < 0 {
+			continue // outside the quadrant, or handled as a cap above
 		}
-		if sp.u1 >= cw || sp.v1 >= ch {
+		if u1 >= cw || v1 >= ch {
 			continue // already satisfied by the caps / cell bounds
 		}
-		cs = append(cs, corner{sp.u1, sp.v1})
+		cs = append(cs, corner{u1, v1})
 	}
 	if len(cs) == 0 {
-		return []staircasePoint{{cw, ch}}
+		return append(dst, staircasePoint{cw, ch})
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].ax < cs[j].ax })
+	// Corners with equal ax only feed one min, so the unstable sort cannot
+	// change the staircase.
+	slices.SortFunc(cs, func(a, b corner) int { return cmp.Compare(a.ax, b.ax) })
 
-	var out []staircasePoint
+	out := dst
 	minAy := ch
 	emit := func(tx, ty float64) {
 		// Keep only Pareto-maximal points: ty is non-increasing in emission
 		// order, so it suffices to drop candidates not exceeding the previous
 		// tx (same tx, smaller ty) and merge equal-ty runs onto the larger tx.
-		if len(out) > 0 {
+		if len(out) > len(dst) {
 			last := &out[len(out)-1]
 			if tx <= last.tx {
 				return
@@ -269,6 +270,23 @@ func buildStaircase(obstacles []geom.Rect, p geom.Point, s [2]float64, cw, ch fl
 	}
 	emit(cw, minAy)
 	return out
+}
+
+// quadrantSpan returns the near corner (u1, v1) of obstacle o in the
+// p-relative coordinates of the quadrant reflected by s, and whether o
+// overlaps the open quadrant region at all.
+func quadrantSpan(o geom.Rect, p geom.Point, s [2]float64) (u1, v1 float64, ok bool) {
+	u1 = s[0] * (o.MinX - p.X)
+	u2 := s[0] * (o.MaxX - p.X)
+	if u1 > u2 {
+		u1, u2 = u2, u1
+	}
+	v1 = s[1] * (o.MinY - p.Y)
+	v2 := s[1] * (o.MaxY - p.Y)
+	if v1 > v2 {
+		v1, v2 = v2, v1
+	}
+	return u1, v1, !(u2 <= 0 || v2 <= 0)
 }
 
 func minf(a, b float64) float64 {
