@@ -210,7 +210,6 @@ func (m *Monitor) RegisterRange(id query.ID, rect geom.Rect) ([]uint64, []SafeRe
 		t0, before = m.obsStart()
 	}
 	q := query.NewRange(id, rect)
-	m.beginOp()
 	m.stats.NewQueryEvals++
 	if m.mobs != nil {
 		m.mobs.lg.noteRegister(q)
@@ -240,7 +239,6 @@ func (m *Monitor) RegisterKNN(id query.ID, pt geom.Point, k int, orderSensitive 
 		t0, before = m.obsStart()
 	}
 	q := query.NewKNN(id, pt, k, orderSensitive)
-	m.beginOp()
 	m.stats.NewQueryEvals++
 	if m.mobs != nil {
 		m.mobs.lg.noteRegister(q)
@@ -271,7 +269,6 @@ func (m *Monitor) RegisterWithinDistance(id query.ID, center geom.Point, radius 
 		t0, before = m.obsStart()
 	}
 	q := query.NewWithinDistance(id, center, radius)
-	m.beginOp()
 	m.stats.NewQueryEvals++
 	if m.mobs != nil {
 		m.mobs.lg.noteRegister(q)
@@ -337,7 +334,6 @@ func (m *Monitor) RegisterCount(id query.ID, rect geom.Rect) (int, []SafeRegionU
 		t0, before = m.obsStart()
 	}
 	q := query.NewCountRange(id, rect)
-	m.beginOp()
 	m.stats.NewQueryEvals++
 	if m.mobs != nil {
 		m.mobs.lg.noteRegister(q)

@@ -160,11 +160,16 @@ type Monitor struct {
 	// the movement it reveals can change other queries' results.
 	probedNow  map[uint64]geom.Point
 	probedFrom map[uint64]geom.Point
-	// shrunkNow tracks objects whose safe region was durably shrunk by a
-	// reachability-circle "virtual probe" during the current operation; the
-	// shrunken regions must be pushed to the clients at the end of the
-	// operation so the update protocol stays exact.
-	shrunkNow map[uint64]bool
+	// probed lists the keys of probedNow in the order the operation added
+	// them (probedFrom's keys are among them). The walks over those maps and
+	// their draining at the end of the operation go through this list, so
+	// they cost the operation's size, not the maps' capacity.
+	probed []uint64
+	// shrunk lists the objects whose safe region was durably shrunk by a
+	// reachability-circle "virtual probe" during the current operation, an ID
+	// once per shrink; the shrunken regions must be pushed to the clients at
+	// the end of the operation so the update protocol stays exact.
+	shrunk []uint64
 
 	// pq, held and seeded are the best-first search's scratch (evaluate.go),
 	// reused by every kNN search so that searching allocates only its result.
@@ -177,13 +182,11 @@ type Monitor struct {
 	// may be touched by PlanUpdate, which runs on many goroutines at once.
 	// affected holds the current grid lookup, ids the sorted object IDs being
 	// walked (settleProbes, finishOp), qids the sorted query IDs being
-	// repaired (reevalResultQueries, RemoveObject), settled the objects
-	// settleProbes has handled, and before reevaluate's copy of the result
-	// list (reevaluate never re-enters itself).
+	// repaired (reevalResultQueries, RemoveObject), and before reevaluate's
+	// copy of the result list (reevaluate never re-enters itself).
 	affected []*query.Query
 	ids      []uint64
 	qids     []query.ID
-	settled  map[uint64]bool
 	before   []uint64
 
 	// mobs holds the bound observability instruments (obs.go); nil when
@@ -208,9 +211,6 @@ func New(opt Options, prober Prober, onUpdate func(ResultUpdate)) *Monitor {
 		panic("core: nil prober")
 	}
 	opt = opt.withDefaults()
-	if onUpdate == nil {
-		onUpdate = func(ResultUpdate) {}
-	}
 	return &Monitor{
 		opt:        opt,
 		objects:    make(map[uint64]*objectState),
@@ -222,8 +222,6 @@ func New(opt Options, prober Prober, onUpdate func(ResultUpdate)) *Monitor {
 		report:     onUpdate,
 		probedNow:  make(map[uint64]geom.Point),
 		probedFrom: make(map[uint64]geom.Point),
-		shrunkNow:  make(map[uint64]bool),
-		settled:    make(map[uint64]bool),
 	}
 }
 
@@ -303,7 +301,6 @@ func (m *Monitor) AddObject(id uint64, p geom.Point) []SafeRegionUpdate {
 	st.safe = geom.RectAround(p)
 	m.tree.Insert(id, st.safe)
 	// A new object can change results of queries whose quarantine contains p.
-	m.beginOp()
 	for _, q := range m.grid.At(p) {
 		if q.InQuarantine(p) || (q.Kind == query.KindKNN && len(q.Results) < q.K) {
 			m.reevaluate(q, st, infinitePoint())
@@ -329,7 +326,6 @@ func (m *Monitor) RemoveObject(id uint64) []SafeRegionUpdate {
 	if m.mobs != nil {
 		t0, before = m.obsStart()
 	}
-	m.beginOp()
 	m.tree.Delete(id)
 	delete(m.objects, id)
 	// Only the queries holding id need repair, and resultOf lists exactly
@@ -385,40 +381,41 @@ func (m *Monitor) sortedQueryIDs() []query.ID {
 // ascending order.
 func (m *Monitor) appendProbedIDs(dst []uint64) []uint64 {
 	n := len(dst)
-	for id := range m.probedNow {
-		dst = append(dst, id)
-	}
+	dst = append(dst, m.probed...)
 	slices.Sort(dst[n:])
 	return dst
 }
 
+// setExact represents id by the exact point p for the rest of the operation.
+// id must not be in probedNow yet.
+func (m *Monitor) setExact(id uint64, p geom.Point) {
+	m.probedNow[id] = p
+	m.probed = append(m.probed, id)
+}
+
 // maxKeptOpSet bounds the per-op maps the monitor keeps between operations.
-// Clearing a map costs time in its capacity, not its length, so a map that
-// one large operation (a registration probing hundreds of objects) grew past
-// this is dropped rather than cleared on every later op.
+// A map one large operation (a registration probing hundreds of objects) grew
+// past this is dropped rather than holding that much memory for good.
 const maxKeptOpSet = 256
 
-// emptied returns mp emptied for reuse by the next operation.
-func emptied[K comparable, V any](mp map[K]V) map[K]V {
+// drained returns mp emptied for reuse by the next operation, given keys,
+// a list holding every key in it.
+func drained[V any](mp map[uint64]V, keys []uint64) map[uint64]V {
 	if len(mp) > maxKeptOpSet {
-		return make(map[K]V) //lint:allow allochot rare: only after an op touched more than maxKeptOpSet objects
+		return make(map[uint64]V) //lint:allow allochot rare: only after an op touched more than maxKeptOpSet objects
 	}
-	clear(mp)
+	for _, id := range keys {
+		delete(mp, id)
+	}
 	return mp
 }
 
-// beginOp resets per-operation probe bookkeeping.
-func (m *Monitor) beginOp() {
-	m.probedNow = emptied(m.probedNow)
-	m.probedFrom = emptied(m.probedFrom)
-	m.shrunkNow = emptied(m.shrunkNow)
-}
-
-// endOp drains the probe bookkeeping once an operation has pushed every
-// refreshed region.
+// endOp drains the per-operation probe bookkeeping once an operation has
+// pushed every refreshed region.
 func (m *Monitor) endOp() {
-	m.probedNow = emptied(m.probedNow)
-	m.probedFrom = emptied(m.probedFrom)
+	m.probedNow = drained(m.probedNow, m.probed)
+	m.probedFrom = drained(m.probedFrom, m.probed)
+	m.probed, m.shrunk = m.probed[:0], m.shrunk[:0]
 }
 
 // settleProbes treats each probe as the location update it is: the probed
@@ -431,26 +428,21 @@ func (m *Monitor) settleProbes(primary *objectState, skip *query.Query) {
 	if len(m.probedFrom) == 0 {
 		return // nothing was probed: no movement to settle
 	}
-	m.settled = emptied(m.settled)
-	if primary != nil {
-		m.settled[primary.id] = true
-	}
-	for {
-		// Every probe records probedFrom; the updating object itself is in
-		// probedNow only, and has no movement to settle here.
+	// Each round settles, in ID order, the objects probed since the previous
+	// round began: m.probed[done:], as probes only append to it. The primary
+	// object has no movement to settle here; an Update's is in m.probed
+	// without having been probed.
+	for done := 0; done < len(m.probed); {
 		todo := m.ids[:0]
-		for id := range m.probedFrom {
-			if !m.settled[id] {
+		for _, id := range m.probed[done:] {
+			if primary == nil || id != primary.id {
 				todo = append(todo, id)
 			}
 		}
+		done = len(m.probed)
 		slices.Sort(todo)
 		m.ids = todo
-		if len(todo) == 0 {
-			return
-		}
 		for _, id := range todo {
-			m.settled[id] = true
 			st := m.objects[id]
 			if st == nil {
 				continue
@@ -503,7 +495,7 @@ func byQueryID(q *query.Query, id query.ID) int { return cmp.Compare(q.ID, id) }
 // steady-state operation makes.
 func (m *Monitor) finishOp(st *objectState) []SafeRegionUpdate {
 	m.settleProbes(st, nil)
-	n := len(m.probedNow) + len(m.shrunkNow)
+	n := len(m.probedNow) + len(m.shrunk)
 	if st != nil {
 		if _, probed := m.probedNow[st.id]; !probed {
 			n++
@@ -538,15 +530,14 @@ func (m *Monitor) finishOp(st *objectState) []SafeRegionUpdate {
 
 // appendShrunk appends the safe regions shrunk by virtual probes
 // (reachability circle, Section 6.1) that were not superseded by a real probe
-// or by the primary object's recompute, and empties shrunkNow. The push keeps
-// the client protocol exact: the client resumes reporting against the
-// shrunken region.
+// or by the primary object's recompute. The push keeps the client protocol
+// exact: the client resumes reporting against the shrunken region.
 func (m *Monitor) appendShrunk(out []SafeRegionUpdate, st *objectState) []SafeRegionUpdate {
-	if len(m.shrunkNow) == 0 {
+	if len(m.shrunk) == 0 {
 		return out
 	}
 	ids := m.ids[:0]
-	for id := range m.shrunkNow {
+	for _, id := range m.shrunk {
 		if _, probed := m.probedNow[id]; probed {
 			continue // a real probe already triggered a full refresh
 		}
@@ -559,12 +550,12 @@ func (m *Monitor) appendShrunk(out []SafeRegionUpdate, st *objectState) []SafeRe
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	m.ids = ids
 	for _, id := range ids {
 		out = append(out, SafeRegionUpdate{Object: id, Region: m.objects[id].safe, Probed: true})
 		m.noteGrant(id)
 	}
-	m.shrunkNow = emptied(m.shrunkNow)
 	return out
 }
 
@@ -591,7 +582,7 @@ func (m *Monitor) probe(id uint64) geom.Point {
 	st.prevLoc = st.lastLoc
 	st.lastLoc = p
 	st.lastTime = m.now
-	m.probedNow[id] = p
+	m.setExact(id, p)
 	return p
 }
 
@@ -650,7 +641,7 @@ func (m *Monitor) virtualProbe(id uint64) bool {
 	shr := st.safe.Intersect(rb)
 	st.safe = clampSafe(shr, st.lastLoc)
 	m.tree.Update(id, st.safe)
-	m.shrunkNow[id] = true
+	m.shrunk = append(m.shrunk, id)
 	m.stats.VirtualProbes++
 	m.noteShrink(id)
 	return true
@@ -660,6 +651,9 @@ func (m *Monitor) publish(q *query.Query) {
 	m.stats.ResultChanges++
 	if m.mobs != nil {
 		m.mobs.lg.notePublish(q, len(q.Results), q.Aggregate)
+	}
+	if m.report == nil {
+		return // nobody subscribes: skip building the report
 	}
 	if q.Aggregate {
 		m.report(ResultUpdate{Query: q.ID, Count: len(q.Results)})
@@ -750,9 +744,9 @@ func (m *Monitor) CheckInvariants() error {
 	if m.grid.Len() != len(m.queries) {
 		return fmt.Errorf("grid indexes %d queries, %d registered", m.grid.Len(), len(m.queries))
 	}
-	if len(m.probedNow)+len(m.probedFrom)+len(m.shrunkNow) != 0 {
-		return fmt.Errorf("probe bookkeeping not drained between operations: %d probedNow, %d probedFrom, %d shrunkNow",
-			len(m.probedNow), len(m.probedFrom), len(m.shrunkNow))
+	if n := len(m.probedNow) + len(m.probedFrom) + len(m.probed) + len(m.shrunk); n != 0 {
+		return fmt.Errorf("probe bookkeeping not drained between operations: %d probedNow, %d probedFrom, %d probed, %d shrunk",
+			len(m.probedNow), len(m.probedFrom), len(m.probed), len(m.shrunk))
 	}
 	for id, st := range m.objects {
 		r, ok := m.tree.Get(id)

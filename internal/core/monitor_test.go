@@ -732,3 +732,56 @@ func TestCircleQueryDuplicateAndDeregister(t *testing.T) {
 		t.Fatal("deregister")
 	}
 }
+
+// TestProbeAfterProbingAddObjectIsSettled checks that a probe of an object
+// is settled (its revealed movement reevaluates the queries it affects) in an
+// op that follows a probing AddObject of that object. The AddObject settles
+// the objects it probed but not the newcomer, its primary; nothing of that
+// exclusion may carry over to later ops. Here object 1 joins next to a 1NN
+// query, which probes object 2 to order the two; a range registration then
+// probes object 1 and finds it far away, and the kNN query must follow it
+// back to object 2.
+func TestProbeAfterProbingAddObjectIsSettled(t *testing.T) {
+	at := map[uint64]geom.Point{1: geom.Pt(58, 50), 2: geom.Pt(60, 50)}
+	m := New(Options{Space: geom.R(0, 0, 100, 100)}, ProberFunc(func(id uint64) geom.Point { return at[id] }), nil)
+	m.AddObject(2, at[2])
+	if _, _, err := m.RegisterKNN(1, geom.Pt(50, 50), 1, true); err != nil {
+		t.Fatal(err)
+	}
+	// Widen object 2's region so that object 1's arrival is ambiguous.
+	st := m.objects[2]
+	st.safe = geom.R(55, 45, 65, 55)
+	m.tree.Update(2, st.safe)
+
+	probes := m.Stats().Probes
+	m.AddObject(1, at[1])
+	if m.Stats().Probes == probes {
+		t.Fatal("AddObject(1) probed nothing: the scenario needs a probing AddObject")
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := m.Results(1); !equalSeq(res, []uint64{1}) {
+		t.Fatalf("1NN result %v after object 1 joined, want [1]", res)
+	}
+
+	// Object 1's region, [58, 58.11]x[50, 52], straddles x = 58.05.
+	at[1] = geom.Pt(70, 90)
+	probes = m.Stats().Probes
+	res, _, err := m.RegisterRange(2, geom.R(58.05, 0, 100, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats().Probes == probes {
+		t.Fatal("RegisterRange probed nothing: the scenario needs object 1 probed")
+	}
+	if !equalSeq(res, []uint64{1, 2}) {
+		t.Fatalf("range result %v, want [1 2]", res)
+	}
+	if res, _ := m.Results(1); !equalSeq(res, []uint64{2}) {
+		t.Fatalf("1NN result %v after object 1's probe revealed it at %v, want [2]", res, at[1])
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

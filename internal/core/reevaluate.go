@@ -31,7 +31,6 @@ func (m *Monitor) Update(id uint64, p geom.Point) []SafeRegionUpdate {
 	if m.mobs != nil {
 		m.mobs.lg.noteUpdate()
 	}
-	m.beginOp()
 	pLst := st.lastLoc
 	st.prevLoc = pLst
 	st.lastLoc = p
@@ -41,7 +40,7 @@ func (m *Monitor) Update(id uint64, p geom.Point) []SafeRegionUpdate {
 	// outside its old safe region by definition (that is why it reported), so
 	// the old rectangle no longer lower-bounds its distances and would
 	// mis-prune best-first searches.
-	m.probedNow[id] = p
+	m.setExact(id, p)
 	st.safe = geom.RectAround(p)
 	m.tree.Update(id, st.safe)
 	m.affected = m.grid.AppendAffected(m.affected[:0], pLst, p)

@@ -334,7 +334,6 @@ func runSearchComparison(t testing.TB, c searchCase) {
 			register()
 		}
 
-		both(func(m *Monitor) { m.beginOp() })
 		for i := 0; i < c.probesPerTick; i++ {
 			id := ids[rng.Intn(len(ids))]
 			both(func(m *Monitor) { m.probe(id) })

@@ -19,6 +19,15 @@
 // A sibling's entry lies inside the parent's rectangle, so step 2 must come
 // before step 3 or it could never run.
 //
+// Step 4 and every later Insert choose their leaf with R*'s ChooseSubtree,
+// whose test at the level above the leaves (least overlap enlargement) is
+// quadratic in the fan-out. Most rectangles land inside a leaf's rectangle,
+// where some entry scores zero on both the overlap and the area enlargement;
+// pickFree then finds, in one linear pass, the entry the quadratic scan
+// would pick, bit for bit. The R* insert, forced reinsertion, split and
+// condense work in scratch the tree owns, so a write allocates only for the
+// nodes it creates.
+//
 // A tree populated from empty is not built by top-down insertion. An Insert
 // into an empty tree, or into one that is still buffering, appends the item
 // to a pending list; Update and Get of a pending ID read or write its
@@ -112,6 +121,19 @@ type Tree struct {
 	// the current top-level insertion (R* OverflowTreatment runs at most once
 	// per level per insertion). Insert and condense reset it.
 	reinserted uint64
+
+	// Write scratch, reused so that the R* insert, split and condense
+	// allocate only the nodes they create. reinsertStack holds the entries
+	// forcedReinsert is reinserting, a stack because forced reinsertions
+	// nest; splitScratch the per-axis sorted copies of an overflowing node;
+	// orphans the items condense reinserts. byDist and byAxis are the
+	// sorters forcedReinsert and split sort with. Only splitScratch is in use
+	// when split recurses, and by then its result is copied out.
+	reinsertStack []entry
+	splitScratch  [2][]entry
+	orphans       []Item
+	byDist        byCenterDist
+	byAxis        byAxis
 
 	// Stats counters, useful for the CPU-cost experiments and ablations.
 	// fastUpdates counts every update that avoided Delete + Insert;
@@ -389,13 +411,20 @@ func (t *Tree) chooseSubtree(r geom.Rect, level int) *Node {
 
 // pickChild implements the R* ChooseSubtree heuristic: minimum overlap
 // enlargement for nodes pointing to leaves, otherwise minimum area
-// enlargement, with ties broken by smaller area.
+// enlargement, with ties broken by smaller area. At nodes pointing to
+// leaves, pickFree answers first when it can, without the quadratic overlap
+// scan, and always with the entry the scan would pick.
 func (t *Tree) pickChild(n *Node, r geom.Rect) int {
+	pointsToLeaves := n.level == 1
+	if pointsToLeaves {
+		if best, ok := pickFree(n, r); ok {
+			return best
+		}
+	}
 	best := 0
 	bestOverlap := math.Inf(1)
 	bestEnlarge := math.Inf(1)
 	bestArea := math.Inf(1)
-	pointsToLeaves := n.level == 1
 	for i := range n.entries {
 		e := &n.entries[i]
 		u := e.rect.Union(r)
@@ -403,20 +432,7 @@ func (t *Tree) pickChild(n *Node, r geom.Rect) int {
 		enlarge := u.Area() - area
 		overlap := 0.0
 		if pointsToLeaves {
-			for j := range n.entries {
-				o := &n.entries[j].rect
-				// e.rect ⊆ u, so an entry disjoint from u meets neither and
-				// both terms below would be skipped anyway.
-				if j == i || !u.Intersects(*o) {
-					continue
-				}
-				if a, ok := overlapArea(&u, o); ok {
-					overlap += a
-				}
-				if a, ok := overlapArea(&e.rect, o); ok {
-					overlap -= a
-				}
-			}
+			overlap = overlapDelta(n, i, &u)
 		}
 		if overlap < bestOverlap ||
 			//lint:allow floatcmp R*-tree tie-break chain: exact equality selects the next criterion
@@ -427,6 +443,72 @@ func (t *Tree) pickChild(n *Node, r geom.Rect) int {
 		}
 	}
 	return best
+}
+
+// pickFree returns the entry pickChild's full scan picks at a node pointing
+// to leaves when some entry scores zero overlap enlargement and zero area
+// enlargement (every entry containing r does), and false when none does.
+//
+// While every entry is valid and no enlargement is NaN, both scores are ≥ 0
+// in floating point. The union u of an entry with r contains the entry
+// coordinate by coordinate, so its width, height and area are at least the
+// entry's (rounding is monotone); in overlapDelta each term added, the area
+// of u ∩ o, is at least the term subtracted next, that of entry ∩ o, so the
+// running sum never drops below zero (or it turns NaN, and a NaN score never
+// wins the scan). A (0, 0) entry is therefore minimal under the first two
+// criteria, and the scan picks the smallest-area one, the first on a tie. An
+// invalid entry or a NaN enlargement voids the argument, and pickFree
+// declines.
+func pickFree(n *Node, r geom.Rect) (int, bool) {
+	best, found := 0, false
+	bestArea := 0.0
+	for i := range n.entries {
+		e := &n.entries[i]
+		if !e.rect.IsValid() {
+			return 0, false
+		}
+		u := e.rect.Union(r)
+		area := e.rect.Area()
+		enlarge := u.Area() - area
+		//lint:allow floatcmp exact zero is the score pickFree's argument is about
+		if enlarge != 0 {
+			if math.IsNaN(enlarge) {
+				return 0, false
+			}
+			continue
+		}
+		// A later entry replaces the best only with a strictly smaller area.
+		if found && !(area < bestArea) {
+			continue
+		}
+		//lint:allow floatcmp exact zero is the score pickFree's argument is about
+		if overlapDelta(n, i, &u) == 0 {
+			best, bestArea, found = i, area, true
+		}
+	}
+	return best, found
+}
+
+// overlapDelta returns how much the overlap of entry i with its siblings
+// grows when its rectangle grows to u ⊇ entry i.
+func overlapDelta(n *Node, i int, u *geom.Rect) float64 {
+	e := &n.entries[i]
+	overlap := 0.0
+	for j := range n.entries {
+		o := &n.entries[j].rect
+		// e.rect ⊆ u, so an entry disjoint from u meets neither and both
+		// terms below would be skipped anyway.
+		if j == i || !u.Intersects(*o) {
+			continue
+		}
+		if a, ok := overlapArea(u, o); ok {
+			overlap += a
+		}
+		if a, ok := overlapArea(&e.rect, o); ok {
+			overlap -= a
+		}
+	}
+	return overlap
 }
 
 // overlapArea returns the area of a ∩ b and whether the intersection is
@@ -457,25 +539,27 @@ func (t *Tree) overflow(n *Node) {
 }
 
 // forcedReinsert removes the 30 % of entries farthest from the node center
-// and reinserts them (R* OverflowTreatment).
+// and reinserts them (R* OverflowTreatment). The removed entries wait on
+// t.reinsertStack: a reinsertion can overflow a higher level and reinsert
+// there before this loop is done, so each call pushes above the entries of
+// the calls it runs inside and pops only its own.
 func (t *Tree) forcedReinsert(n *Node) {
 	t.reinserts++
-	c := n.mbr().Center()
-	sort.Slice(n.entries, func(i, j int) bool {
-		return n.entries[i].rect.Center().Dist2(c) < n.entries[j].rect.Center().Dist2(c)
-	})
+	t.sortByCenterDist(n.entries, n.mbr().Center())
 	k := int(float64(len(n.entries)) * reinsertFraction)
 	if k < 1 {
 		k = 1
 	}
 	cut := len(n.entries) - k
-	removed := make([]entry, k)
-	copy(removed, n.entries[cut:])
+	base := len(t.reinsertStack)
+	t.reinsertStack = append(t.reinsertStack, n.entries[cut:]...)
 	n.entries = n.entries[:cut]
 	t.adjustUpward(n)
-	for _, e := range removed {
-		t.insertEntry(e, n.level)
+	for i := base; i < base+k; i++ {
+		t.insertEntry(t.reinsertStack[i], n.level)
 	}
+	clear(t.reinsertStack[base:]) // drop the child pointers
+	t.reinsertStack = t.reinsertStack[:base]
 }
 
 // split performs the R* topological split: choose the axis with minimum
@@ -488,9 +572,9 @@ func (t *Tree) split(n *Node) {
 	bestAxisMargin := math.Inf(1)
 	var bestSorted []entry
 	for axis := 0; axis < 2; axis++ {
-		sorted := make([]entry, len(entries))
-		copy(sorted, entries)
-		sortByAxis(sorted, axis)
+		sorted := append(t.splitScratch[axis][:0], entries...)
+		t.splitScratch[axis] = sorted
+		t.sortByAxis(sorted, axis)
 		margin := 0.0
 		for k := t.min; k <= len(sorted)-t.min; k++ {
 			l := mbrOf(sorted[:k])
@@ -525,6 +609,8 @@ func (t *Tree) split(n *Node) {
 	copy(left, bestSorted[:bestK])
 	right := make([]entry, len(bestSorted)-bestK)
 	copy(right, bestSorted[bestK:])
+	clear(t.splitScratch[0]) // drop the child pointers
+	clear(t.splitScratch[1])
 
 	sibling := &Node{level: n.level, entries: right}
 	n.entries = left
@@ -569,7 +655,7 @@ func (t *Tree) condense(n *Node) {
 	// Orphaned subtrees are flattened to their leaf items and reinserted as
 	// items: reinserting whole subtrees at their original level is fragile
 	// when the tree height shrinks during the same condense pass.
-	var orphans []Item
+	orphans := t.orphans[:0]
 	for n != t.root {
 		p := n.parent
 		if len(n.entries) < t.min {
@@ -594,6 +680,7 @@ func (t *Tree) condense(n *Node) {
 	if t.root.level > 0 && len(t.root.entries) == 0 {
 		t.root = &Node{level: 0}
 	}
+	t.orphans = orphans
 	for _, it := range orphans {
 		t.reinserted = 0
 		t.insertEntry(entry{rect: it.Rect, item: it}, 0)
@@ -612,24 +699,61 @@ func collectItems(n *Node, out *[]Item) {
 
 // --- helpers ----------------------------------------------------------------
 
-func sortByAxis(es []entry, axis int) {
-	if axis == 0 {
-		sort.Slice(es, func(i, j int) bool {
-			//lint:allow floatcmp comparator tie-break: exact inequality guards the MaxX fallback
-			if es[i].rect.MinX != es[j].rect.MinX {
-				return es[i].rect.MinX < es[j].rect.MinX
-			}
-			return es[i].rect.MaxX < es[j].rect.MaxX
-		})
-	} else {
-		sort.Slice(es, func(i, j int) bool {
-			//lint:allow floatcmp comparator tie-break: exact inequality guards the MaxY fallback
-			if es[i].rect.MinY != es[j].rect.MinY {
-				return es[i].rect.MinY < es[j].rect.MinY
-			}
-			return es[i].rect.MaxY < es[j].rect.MaxY
-		})
+// sortByCenterDist sorts es by the squared distance of each entry's center
+// to c, computing each distance once.
+func (t *Tree) sortByCenterDist(es []entry, c geom.Point) {
+	s := &t.byDist
+	s.es, s.keys = es, s.keys[:0]
+	for i := range es {
+		s.keys = append(s.keys, es[i].rect.Center().Dist2(c))
 	}
+	sort.Sort(s) //lint:allow allochot a pointer in an interface is not boxed (TestFallbackWriteAllocs)
+	s.es = nil
+}
+
+// byCenterDist orders entries by precomputed keys, which move with them.
+type byCenterDist struct {
+	es   []entry
+	keys []float64
+}
+
+func (s *byCenterDist) Len() int           { return len(s.es) }
+func (s *byCenterDist) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s *byCenterDist) Swap(i, j int) {
+	s.es[i], s.es[j] = s.es[j], s.es[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+}
+
+// sortByAxis sorts es by lower then upper bound along axis (0 for x, 1 for
+// y).
+func (t *Tree) sortByAxis(es []entry, axis int) {
+	t.byAxis = byAxis{es: es, axis: axis}
+	sort.Sort(&t.byAxis) //lint:allow allochot a pointer in an interface is not boxed
+	t.byAxis.es = nil
+}
+
+// byAxis orders entries by lower then upper bound along one axis.
+type byAxis struct {
+	es   []entry
+	axis int
+}
+
+func (s *byAxis) Len() int      { return len(s.es) }
+func (s *byAxis) Swap(i, j int) { s.es[i], s.es[j] = s.es[j], s.es[i] }
+func (s *byAxis) Less(i, j int) bool {
+	a, b := &s.es[i].rect, &s.es[j].rect
+	if s.axis == 0 {
+		//lint:allow floatcmp comparator tie-break: exact inequality guards the MaxX fallback
+		if a.MinX != b.MinX {
+			return a.MinX < b.MinX
+		}
+		return a.MaxX < b.MaxX
+	}
+	//lint:allow floatcmp comparator tie-break: exact inequality guards the MaxY fallback
+	if a.MinY != b.MinY {
+		return a.MinY < b.MinY
+	}
+	return a.MaxY < b.MaxY
 }
 
 func mbrOf(es []entry) geom.Rect {

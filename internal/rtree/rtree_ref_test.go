@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"srb/internal/geom"
@@ -209,13 +210,24 @@ func searchSet(tr *Tree, q geom.Rect) map[uint64]bool {
 // TestPickChildMatchesReference checks that pickChild picks the same entry
 // as refPickChild on random nodes built from tie-rich rectangles (the same
 // distribution as TestTreeShapeGolden), both for nodes pointing to leaves,
-// which run the overlap loop, and for higher nodes, which do not.
+// which run the overlap loop, and for higher nodes, which do not. About a
+// quarter of the entries are points (zero area). Half the rectangles to
+// place lie inside an entry (pickFree's case): equal to it, a sub-rectangle,
+// or a point or segment on its edge, which the tie-rich coordinates often
+// share with a neighbour. One in six is such a rectangle pushed one ulp past
+// an edge of its entry: the enlargement can round to zero while the sliver
+// overlaps a neighbour. One node in 32 carries a rectangle that is inverted
+// or has an infinite coordinate, where the argument behind pickFree needs
+// its guard; with a NaN coordinate (where the reference's overlap terms
+// differ from pickChild's) pickFree must decline.
 func TestPickChildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var tr Tree
 	var pool []geom.Rect
 	n := &Node{}
-	for trial := 0; trial < 120000; trial++ {
+	const trials = 120000
+	inside, free, leafLevel := 0, 0, 0
+	for trial := 0; trial < trials; trial++ {
 		n.level = 1 + trial%4/3 // three in four point to leaves
 		n.entries = n.entries[:0]
 		for i, count := 0, 2+rng.Intn(16); i < count; i++ {
@@ -226,10 +238,203 @@ func TestPickChildMatchesReference(t *testing.T) {
 		if len(pool) > 256 {
 			pool = pool[len(pool)-256:]
 		}
-		r := goldenRect(rng, pool)
+		var r geom.Rect
+		switch e := n.entries[rng.Intn(len(n.entries))].rect; rng.Intn(6) {
+		case 0, 1, 2:
+			r = rectInside(rng, e)
+		case 3:
+			r = nudgedOut(rng, rectInside(rng, e), e)
+		default:
+			r = goldenRect(rng, pool)
+		}
+		if rng.Intn(32) == 0 {
+			if i := rng.Intn(len(n.entries) + 1); i == len(n.entries) {
+				r = hostileRect(rng, r)
+			} else {
+				n.entries[i].rect = hostileRect(rng, n.entries[i].rect)
+			}
+		}
+		if trial%64 == 0 {
+			nan := *n
+			nan.level = 1
+			nan.entries = append([]entry(nil), n.entries...)
+			rn := r
+			if i := rng.Intn(len(nan.entries) + 1); i == len(nan.entries) {
+				rn = withCoord(rng, rn, math.NaN())
+			} else {
+				nan.entries[i].rect = withCoord(rng, nan.entries[i].rect, math.NaN())
+			}
+			if best, ok := pickFree(&nan, rn); ok {
+				t.Fatalf("trial %d: pickFree answered %d with a NaN coordinate in %v or %v", trial, best, nan.entries, rn)
+			}
+		}
+		for i := range n.entries {
+			if n.entries[i].rect.ContainsRect(r) {
+				inside++
+				break
+			}
+		}
+		if n.level == 1 {
+			leafLevel++
+			if _, ok := pickFree(n, r); ok {
+				free++
+			}
+		}
 		if got, want := tr.pickChild(n, r), refPickChild(n, r); got != want {
 			t.Fatalf("trial %d: pickChild = %d, reference = %d\nnode level %d: %v\nrect %v",
 				trial, got, want, n.level, n.entries, r)
 		}
+	}
+	t.Logf("r inside an entry in %d of %d trials; pickFree answered %d of %d at leaf-pointing nodes",
+		inside, trials, free, leafLevel)
+	if inside < trials/2 {
+		t.Fatalf("r lies inside an entry in only %d of %d trials, want at least half", inside, trials)
+	}
+	if free < leafLevel/4 || free > leafLevel*3/4 {
+		t.Fatalf("pickFree answered %d of %d leaf-pointing trials: both it and the full scan need exercise", free, leafLevel)
+	}
+}
+
+// rectInside returns a rectangle inside e: e itself, a random sub-rectangle,
+// or a point or segment on one of e's edges.
+func rectInside(rng *rand.Rand, e geom.Rect) geom.Rect {
+	at := func(lo, hi float64) float64 {
+		if v := lo + rng.Float64()*(hi-lo); v <= hi {
+			return v
+		}
+		return hi
+	}
+	switch rng.Intn(4) {
+	case 0:
+		return e
+	case 1:
+		x0, x1 := at(e.MinX, e.MaxX), at(e.MinX, e.MaxX)
+		y0, y1 := at(e.MinY, e.MaxY), at(e.MinY, e.MaxY)
+		return geom.Rect{MinX: min(x0, x1), MinY: min(y0, y1), MaxX: max(x0, x1), MaxY: max(y0, y1)}
+	case 2: // a point on a vertical edge
+		x := e.MinX
+		if rng.Intn(2) == 0 {
+			x = e.MaxX
+		}
+		return geom.RectAround(geom.Pt(x, at(e.MinY, e.MaxY)))
+	default: // a horizontal edge, whole
+		y := e.MinY
+		if rng.Intn(2) == 0 {
+			y = e.MaxY
+		}
+		return geom.Rect{MinX: e.MinX, MinY: y, MaxX: e.MaxX, MaxY: y}
+	}
+}
+
+// nudgedOut returns r with one bound moved one ulp past the same edge of e.
+func nudgedOut(rng *rand.Rand, r, e geom.Rect) geom.Rect {
+	switch rng.Intn(4) {
+	case 0:
+		r.MinX = math.Nextafter(e.MinX, math.Inf(-1))
+	case 1:
+		r.MinY = math.Nextafter(e.MinY, math.Inf(-1))
+	case 2:
+		r.MaxX = math.Nextafter(e.MaxX, math.Inf(1))
+	default:
+		r.MaxY = math.Nextafter(e.MaxY, math.Inf(1))
+	}
+	return r
+}
+
+// hostileRect returns r inverted along x or along both axes (which makes its
+// area positive), or with one coordinate replaced by +Inf or -Inf.
+func hostileRect(rng *rand.Rand, r geom.Rect) geom.Rect {
+	switch rng.Intn(4) {
+	case 0:
+		r.MinX, r.MaxX = r.MaxX+1, r.MinX
+		return r
+	case 1:
+		r.MinX, r.MaxX = r.MaxX+1, r.MinX
+		r.MinY, r.MaxY = r.MaxY+1, r.MinY
+		return r
+	}
+	return withCoord(rng, r, math.Inf(1-2*rng.Intn(2)))
+}
+
+// withCoord returns r with one coordinate, chosen at random, replaced by v.
+func withCoord(rng *rand.Rand, r geom.Rect, v float64) geom.Rect {
+	switch rng.Intn(4) {
+	case 0:
+		r.MinX = v
+	case 1:
+		r.MinY = v
+	case 2:
+		r.MaxX = v
+	default:
+		r.MaxY = v
+	}
+	return r
+}
+
+// refReinsertOrder is the order forcedReinsert left a node's entries in
+// before it computed each centre distance once and sorted with a tree-owned
+// sort.Interface, kept verbatim: sort.Slice with the distances computed
+// inline. TestForcedReinsertOrderMatchesReference compares against it.
+func refReinsertOrder(n *Node) {
+	c := n.mbr().Center()
+	sort.Slice(n.entries, func(i, j int) bool {
+		return n.entries[i].rect.Center().Dist2(c) < n.entries[j].rect.Center().Dist2(c)
+	})
+}
+
+// TestForcedReinsertOrderMatchesReference checks that sortByCenterDist puts
+// a node's entries in the same order as refReinsertOrder, entry for entry,
+// on seeded nodes of 2 to 40 entries (an overflowing capacity-16 node has
+// 17; past 12 the sort leaves insertion sort). The rectangles come from
+// TestTreeShapeGolden's tie-rich distribution (points, exact repeats, shared
+// edges, ±0), and a third of the nodes mirror entries through the centre of
+// the node, so many distances tie and the sort's handling of equal keys
+// decides the order. Every entry has its own ID, so any difference shows.
+func TestForcedReinsertOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var tr Tree
+	var pool []geom.Rect
+	got, want := &Node{}, &Node{}
+	tiedNodes := 0
+	const trials = 20000
+	for trial := 0; trial < trials; trial++ {
+		count := 2 + rng.Intn(39)
+		got.entries = got.entries[:0]
+		mirror := rng.Intn(3) == 0
+		for i := 0; i < count; i++ {
+			r := goldenRect(rng, pool)
+			if mirror && i%2 == 1 {
+				// Reflect the previous entry through the origin-centred
+				// square [-1/2, 1/2]²'s centre, exactly.
+				p := got.entries[i-1].rect
+				r = geom.Rect{MinX: -p.MaxX, MinY: -p.MaxY, MaxX: -p.MinX, MaxY: -p.MinY}
+			}
+			pool = append(pool, r)
+			got.entries = append(got.entries, entry{rect: r, item: Item{ID: uint64(i), Rect: r}})
+		}
+		if len(pool) > 256 {
+			pool = pool[len(pool)-256:]
+		}
+		want.entries = append(want.entries[:0], got.entries...)
+		refReinsertOrder(want)
+		c := got.mbr().Center()
+		tr.sortByCenterDist(got.entries, c)
+		for i := range got.entries {
+			if got.entries[i].item.ID != want.entries[i].item.ID {
+				t.Fatalf("trial %d (%d entries): position %d holds entry %d, reference %d",
+					trial, count, i, got.entries[i].item.ID, want.entries[i].item.ID)
+			}
+		}
+		for i := 1; i < len(got.entries); i++ {
+			//lint:allow floatcmp counting exact ties, the case the test is about
+			if got.entries[i].rect.Center().Dist2(c) == got.entries[i-1].rect.Center().Dist2(c) {
+				tiedNodes++
+				break
+			}
+		}
+	}
+	t.Logf("%d of %d nodes have tied distances", tiedNodes, trials)
+	if tiedNodes < trials/4 {
+		t.Fatalf("only %d of %d nodes have tied distances", tiedNodes, trials)
 	}
 }
